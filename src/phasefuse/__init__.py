@@ -5,6 +5,7 @@ Library layout:
   channel     path-loss channel / scenario sampling / signal synthesis
   estimator   Fisher-style matrix B, ML estimate, variance and lower bound
   sdp         unit-diagonal SDP relaxation (interior point) + rank-one rounding
+  blas        single-threaded OpenBLAS scope around phase optimisation
   phase_opt   strategy dispatch: closed form N=2, SDP, all-ones, grid oracle
   asymptotics large-N bounds and the large-M variance law
   montecarlo  seeded sweep harness and statistical verification helpers
@@ -44,7 +45,7 @@ from .phase_opt import (
     optimize_phases_n2,
 )
 from .rng import RngStream
-from .sdp import SdpProblem, SdpSolution, embed_real, extract_rank_one, solve
+from .sdp import SdpProblem, SdpSolution, extract_rank_one, solve
 
 __all__ = [
     "ALL_ONES",
@@ -63,7 +64,6 @@ __all__ = [
     "ScenarioConfig",
     "SdpProblem",
     "SdpSolution",
-    "embed_real",
     "estimator_variance",
     "extract_rank_one",
     "feedback_round",

@@ -1,0 +1,83 @@
+# phasefuse/blas.py
+"""Single-threaded BLAS for the duration of a phase optimisation.
+
+The matrices of a phase optimisation are small (N <= a few hundred), and on
+them OpenBLAS's worker threads cost more time than they save: the same
+arithmetic runs on one thread, so the results do not change. ``single_threaded``
+sets the OpenBLAS builds bundled with numpy and scipy to one thread on the
+outermost entry and restores their counts on the outermost exit, also when
+the body raises. A lock-guarded depth count lets pool workers
+(``PHASEFUSE_THREADS``) nest the scope. Where no bundled OpenBLAS is found
+it does nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+# (getter, setter) symbol names, by integer-width variant of the bundled builds.
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _libraries() -> tuple[tuple[object, object], ...]:
+    """(get, set) thread-count functions of each OpenBLAS bundled beside
+    numpy and scipy. The libraries are already loaded, so dlopen returns the
+    live instance."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")) if libs.is_dir() else ():
+            lib = ctypes.CDLL(str(path))
+            for get_name, set_name in _SYMBOLS:
+                get = getattr(lib, get_name, None)
+                set_ = getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
+    return tuple(found)
+
+
+class _ThreadLimit(contextlib.ContextDecorator):
+    """Process-wide scope: OpenBLAS thread counts are process state."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[tuple[object, int]] = []
+
+    def __enter__(self) -> "_ThreadLimit":
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_, get()) for get, set_ in _libraries()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_LIMIT = _ThreadLimit()
+
+
+def single_threaded() -> _ThreadLimit:
+    """Context manager and decorator: run the body with OpenBLAS on one thread."""
+    return _LIMIT

@@ -4,6 +4,10 @@
 Dispatches between the two-sensor closed form, the SDP relaxation with
 rank-one rounding, the all-ones (no feedback) baseline, and an exhaustive
 grid oracle used for verification at small N.
+
+``optimize_phases`` is the one entry point of every command, sweep and
+feedback round; it runs with OpenBLAS on one thread (see ``blas``) and
+restores the thread count on return, with the same output bits.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import sdp
+from .blas import single_threaded
 from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError
 from .estimator import estimator_variance, fisher_matrix, variance_lower_bound
@@ -106,6 +111,7 @@ def grid_search(b: np.ndarray, step_deg: float | None = None) -> tuple[np.ndarra
     return a, float(total[idx])
 
 
+@single_threaded()
 def optimize_phases(
     b: np.ndarray,
     strategy: PhaseStrategy,

@@ -13,9 +13,9 @@ The diagonal constraint structure makes the Schur complement of the Newton
 system simply the elementwise squared modulus of the scaling matrix W,
 so each iteration costs a handful of dense N x N eigendecompositions.
 
-``embed_real`` provides the equivalent real-valued formulation
-(tr(B_r A_r - B_i A_i) with the 2N x 2N block PSD constraint); the solver
-works in the complex Hermitian space directly, which is bit-equivalent.
+``solve`` runs with OpenBLAS on one thread (``blas.single_threaded``): on
+matrices this small, worker threads cost more than they save, and the
+arithmetic, hence every output bit, is the same.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .blas import single_threaded
 from .errors import ConfigurationError, ConvergenceError
 from .rng import RngStream
 
@@ -67,27 +68,6 @@ class SdpSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class RealEmbedding:
-    """Real form of the complex SDP: objective tr(B_r A_r - B_i A_i)."""
-
-    obj_r: np.ndarray  # real part of B, symmetric
-    obj_i: np.ndarray  # imaginary part of B, antisymmetric
-
-    def block(self, a_r: np.ndarray, a_i: np.ndarray) -> np.ndarray:
-        """The 2N x 2N PSD-constrained block [[A_r, -A_i], [A_i, A_r]]."""
-        return np.block([[a_r, -a_i], [a_i, a_r]])
-
-    def objective_value(self, a_r: np.ndarray, a_i: np.ndarray) -> float:
-        return float(np.trace(self.obj_r @ a_r - self.obj_i @ a_i))
-
-
-def embed_real(problem: SdpProblem) -> RealEmbedding:
-    """Split B into its real/imaginary parts for the equivalent real SDP."""
-    b = problem.objective
-    return RealEmbedding(obj_r=np.real(b).copy(), obj_i=np.imag(b).copy())
-
-
 def _herm(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
@@ -122,6 +102,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
+@single_threaded()
 def solve(
     problem: SdpProblem,
     gap_tol: float = DEFAULT_GAP_TOL,
@@ -129,8 +110,10 @@ def solve(
 ) -> SdpSolution:
     """Solve the unit-diagonal SDP relaxation to the requested duality gap.
 
-    Raises ConvergenceError (carrying the best iterate) if the gap has not
-    reached 1e-7 relative within ``max_iter`` iterations.
+    Stops early when the step length can no longer be computed (an iterate
+    lost numerical definiteness). Raises ConvergenceError (carrying the best
+    iterate) if the gap has not reached 1e-7 relative by then, or within
+    ``max_iter`` iterations.
     """
     b = problem.objective
     n = problem.dimension
@@ -151,8 +134,7 @@ def solve(
     scale = max(1.0, abs(lam_max))
 
     x = np.eye(n, dtype=complex)
-    y = (lam_max + scale) * ones.copy()
-    z = _herm(np.diag(y).astype(complex) - b)
+    z = _herm(np.diag(np.full(n, lam_max + scale)).astype(complex) - b)
 
     iterations = 0
     gap = float(np.real(np.trace(x @ z)))
@@ -172,21 +154,26 @@ def solve(
             dy = sla.cho_solve(cf, ones - sigma_mu * diag_zinv)
             dz = -np.diag(dy).astype(complex)
             dx = _herm(sigma_mu * z_inv - x + (w * dy[np.newaxis, :]) @ w)
-            return dx, dy, dz
+            return dx, dz
 
-        # Predictor (affine direction) fixes the centering parameter.
-        dx_a, _, dz_a = direction(0.0)
-        ap = min(1.0, STEP_FRACTION * _max_step(x, dx_a))
-        ad = min(1.0, STEP_FRACTION * _max_step(z, dz_a))
-        gap_aff = float(np.real(np.trace((x + ap * dx_a) @ (z + ad * dz_a))))
-        sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-6))
+        try:
+            # Predictor (affine direction) fixes the centering parameter.
+            dx_a, dz_a = direction(0.0)
+            ap = min(1.0, STEP_FRACTION * _max_step(x, dx_a))
+            ad = min(1.0, STEP_FRACTION * _max_step(z, dz_a))
+            gap_aff = float(np.real(np.trace((x + ap * dx_a) @ (z + ad * dz_a))))
+            sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-6))
 
-        dx, dy, dz = direction(sigma * mu)
-        ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
-        ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+            dx, dz = direction(sigma * mu)
+            ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
+            ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+        except np.linalg.LinAlgError:
+            # X or Z has lost numerical definiteness near the optimum; keep
+            # the last iterate and let the certificate check below decide.
+            iterations -= 1
+            break
 
         x = _herm(x + ap * dx)
-        y = y + ad * dy
         z = _herm(z + ad * dz)
         gap = float(np.real(np.trace(x @ z)))
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError
+from phasefuse.estimator import fisher_matrix
 from phasefuse.rng import RngStream
 from phasefuse.sdp import (
     SdpProblem,
-    embed_real,
     extract_rank_one,
     phase_normalize,
     solve,
@@ -26,52 +27,23 @@ def quad(a, b):
     return float(np.real(np.vdot(a, b @ a)))
 
 
-class TestEmbedReal:
-    def test_real_objective_has_zero_imag_part(self):
-        b = np.array([[2.0, -1.0], [-1.0, 3.0]])
-        emb = embed_real(SdpProblem(objective=b))
-        assert np.array_equal(emb.obj_i, np.zeros((2, 2)))
-        assert np.array_equal(emb.obj_r, b)
-
-    def test_direct_split(self):
-        b = np.array([[1.0, 1j], [-1j, 1.0]])
-        emb = embed_real(SdpProblem(objective=b))
-        assert np.allclose(emb.obj_r, np.eye(2))
-        assert np.allclose(emb.obj_i, [[0.0, 1.0], [-1.0, 0.0]])
-
-    def test_symmetry_structure(self):
-        gen = np.random.default_rng(0)
-        b = random_psd(gen, 5)
-        emb = embed_real(SdpProblem(objective=b))
-        assert np.allclose(emb.obj_r, emb.obj_r.T)
-        assert np.allclose(emb.obj_i, -emb.obj_i.T)
-
-    def test_objective_equivalence_on_rank_one(self):
-        gen = np.random.default_rng(1)
-        for _ in range(50):
-            n = int(gen.integers(2, 7))
-            b = random_psd(gen, n)
-            emb = embed_real(SdpProblem(objective=b))
-            a = np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-            gram = np.outer(a, a.conj())
-            real_val = emb.objective_value(np.real(gram), np.imag(gram))
-            assert real_val == pytest.approx(quad(a, b), rel=1e-12)
-
-    def test_block_is_psd_for_feasible_gram(self):
-        gen = np.random.default_rng(2)
-        b = random_psd(gen, 4)
-        emb = embed_real(SdpProblem(objective=b))
-        sol = solve(SdpProblem(objective=b))
-        block = emb.block(np.real(sol.gram), np.imag(sol.gram))
-        assert np.allclose(block, block.T)
-        assert np.min(np.linalg.eigvalsh(block)) >= -1e-8
-
+class TestSolve:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ConfigurationError):
             SdpProblem(objective=np.array([[1.0, 2.0], [3.0, 1.0]]))
 
+    # Fisher instances on which the step-length eigensolve once raised
+    # LinAlgError ("leading minor ... not positive definite") at gap_tol 1e-10.
+    @pytest.mark.parametrize("seed,key,n", [(7, 0, 16), (9, 0, 20), (9, 1, 20)])
+    def test_lost_definiteness_still_certified(self, seed, key, n):
+        rng = RngStream(seed, key)
+        scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=4), rng.child(0))
+        b = fisher_matrix(generate_channel(scenario, rng.child(1)), scenario)
+        sol = solve(SdpProblem(b), gap_tol=1e-10)
+        assert sol.duality_gap <= 1e-9 * max(1.0, abs(sol.objective_value))
+        assert sol.diag_residual <= 1e-8
+        assert sol.min_eigenvalue >= -1e-8
 
-class TestSolve:
     def test_n1(self):
         sol = solve(SdpProblem(objective=np.array([[2.5]])))
         assert sol.gram[0, 0] == 1.0
