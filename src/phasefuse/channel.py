@@ -34,6 +34,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_sensors < 1 or self.n_antennas < 1:
             raise ConfigurationError("n_sensors and n_antennas must be >= 1")
+        # NaN slips past every comparison below, so finiteness is checked first.
+        for name in ("path_loss_exp", "fc_noise_power", "distance_range",
+                     "sensor_noise_range", "theta"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
         for name, (lo, hi) in (

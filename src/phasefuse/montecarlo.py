@@ -127,7 +127,12 @@ class SweepResult:
 def resolve_workers(requested: int | None) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigurationError(
+                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     return max(1, requested or 1)
 
 

@@ -49,6 +49,17 @@ class TestSampleScenario:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(n_sensors=2, n_antennas=2, sensor_noise_range=(0.0, 0.01))
 
+    @pytest.mark.parametrize("field,value", [
+        ("path_loss_exp", np.nan),
+        ("fc_noise_power", np.inf),
+        ("distance_range", (np.nan, 7.0)),
+        ("sensor_noise_range", (0.001, np.inf)),
+        ("theta", complex(1.0, np.nan)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
+
 
 class TestGenerateChannel:
     def test_zero_exponent_unit_modulus(self):

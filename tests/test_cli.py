@@ -177,6 +177,25 @@ class TestCommands:
                    "--output", "/nonexistent-dir/x.csv"])
         assert rc == 1
 
+    @pytest.mark.parametrize("subcommand", [
+        ["fig1", "--sensors", "2", "--trials", "1"],
+        ["run", "--sensors", "2", "--antennas", "2"],
+    ])
+    @pytest.mark.parametrize("flag,value", [
+        ("--fc-noise", "nan"), ("--fc-noise", "inf"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
+        ("--dist-range", "nan,7"), ("--dist-range", "2,inf"),
+        ("--sensor-noise-range", "nan,0.01"), ("--sensor-noise-range", "0.001,inf"),
+    ])
+    def test_non_finite_parameter_exits_1(self, subcommand, flag, value, capsys):
+        assert main(subcommand + [flag, value]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_integer_threads_env_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("PHASEFUSE_THREADS", "abc")
+        assert main(["fig1", "--sensors", "2", "--trials", "1"]) == 1
+        assert "error: PHASEFUSE_THREADS" in capsys.readouterr().err
+
     def test_determinism_same_argv(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -13,6 +13,7 @@ from phasefuse.montecarlo import (
     SENSOR_SWEEP,
     ConcentrationConfig,
     ExperimentConfig,
+    resolve_workers,
     run_sweep,
     verify_diagonal_concentration,
     verify_unbiasedness,
@@ -42,6 +43,11 @@ class TestConfigValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigurationError):
             small_config(trials=0)
+
+    def test_non_integer_threads_env_rejected(self, monkeypatch):
+        monkeypatch.setenv("PHASEFUSE_THREADS", "abc")
+        with pytest.raises(ConfigurationError, match="PHASEFUSE_THREADS"):
+            resolve_workers(None)
 
 
 class TestRunSweep:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError
 from phasefuse.estimator import fisher_matrix
 from phasefuse.rng import RngStream
+from phasefuse import sdp
 from phasefuse.sdp import (
     SdpProblem,
     extract_rank_one,
@@ -31,6 +33,23 @@ class TestSolve:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ConfigurationError):
             SdpProblem(objective=np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SdpProblem(objective=np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_workspace_cache_across_sizes(self):
+        gen = np.random.default_rng(11)
+        b30, b2 = random_psd(gen, 30), random_psd(gen, 2)
+        sdp._heevr_lwork.cache_clear()
+        sdp._hegvx_lwork.cache_clear()
+        fresh = solve(SdpProblem(b30))
+        solve(SdpProblem(b2))
+        again = solve(SdpProblem(b30))
+        assert again.gram.tobytes() == fresh.gram.tobytes()
+        assert (again.objective_value, again.duality_gap, again.iterations) \
+            == (fresh.objective_value, fresh.duality_gap, fresh.iterations)
 
     # Fisher instances on which the step-length eigensolve once raised
     # LinAlgError ("leading minor ... not positive definite") at gap_tol 1e-10.
@@ -78,6 +97,63 @@ class TestSolve:
         sol = solve(SdpProblem(objective=b))
         n_lam = n * float(np.max(np.linalg.eigvalsh(b)))
         assert sol.objective_value <= n_lam + 1e-8 * max(1.0, n_lam)
+
+
+class TestDirectLapack:
+    """The IPM's direct LAPACK calls give scipy.linalg's results bit for bit."""
+
+    @staticmethod
+    def hermitian(gen, n):
+        g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        return g + g.conj().T
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 60])
+    def test_eigh_matches_scipy(self, n):
+        gen = np.random.default_rng(n)
+        for a in (self.hermitian(gen, n), random_psd(gen, n)):
+            w, v = sdp._eigh(a)
+            w_ref, v_ref = sla.eigh(a)
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+            assert sdp._eigh(a, compute_v=0)[0].tobytes() == sla.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 60])
+    def test_step_length_matches_scipy(self, n):
+        gen = np.random.default_rng(100 + n)
+        x, dx = random_psd(gen, n) + np.eye(n), self.hermitian(gen, n)
+        lam = sla.eigh(dx, x, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert lam < 0
+        step = np.float64(sdp._max_step(x, dx))
+        assert step.tobytes() == np.float64(-1.0 / lam).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 60])
+    def test_cholesky_solve_matches_scipy(self, n):
+        gen = np.random.default_rng(200 + n)
+        g = gen.standard_normal((n, n))
+        a, rhs = g @ g.T + n * np.eye(n), gen.standard_normal(n)
+        c = sdp._cholesky(a)
+        c_ref = sla.cho_factor(a, lower=True)
+        assert c.tobytes() == c_ref[0].tobytes()
+        assert sdp._cho_solve(c, rhs).tobytes() == sla.cho_solve(c_ref, rhs).tobytes()
+
+    def test_non_pd_raises_linalg_error(self):
+        gen = np.random.default_rng(3)
+        x, dx = self.hermitian(gen, 6), self.hermitian(gen, 6)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._max_step(x - 20.0 * np.eye(6), dx)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._cholesky(-np.eye(6))
+
+    def test_non_finite_raises_value_error(self):
+        gen = np.random.default_rng(4)
+        x, dx = random_psd(gen, 6) + np.eye(6), self.hermitian(gen, 6)
+        bad = dx.copy()
+        bad[2, 3] = np.nan
+        for call in (lambda: sdp._max_step(x, bad), lambda: sdp._max_step(bad, dx),
+                     lambda: sdp._eigh(bad), lambda: sdp._cholesky(np.real(bad)),
+                     lambda: sdp._cho_solve(np.eye(6), np.full(6, np.inf))):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call()
 
 
 class TestExtractRankOne:
