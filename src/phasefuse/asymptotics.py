@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario
+from .channel import Scenario, check_finite
 from .errors import ConfigurationError
 
 
@@ -40,6 +40,8 @@ class AsymptoticInputs:
         object.__setattr__(self, "sensor_noise_powers", sv)
         if d.size == 0 or d.size != sv.size:
             raise ConfigurationError("distances and noise powers must be nonempty, equal length")
+        check_finite(self, ("distances", "sensor_noise_powers", "fc_noise_power",
+                            "path_loss_exp"))
         if np.any(d <= 0) or np.any(sv < 0) or self.fc_noise_power < 0:
             raise ConfigurationError("inputs must be positive (noise powers nonnegative)")
         if self.path_loss_exp < 0 or self.n_antennas < 1:

@@ -13,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded
 from .errors import ConfigurationError
 from .rng import RngStream
 
 TWO_PI = 2.0 * np.pi
+
+
+def check_finite(obj: object, names: tuple[str, ...]) -> None:
+    """Reject a non-finite value in any of ``obj``'s named fields. NaN slips
+    past every ``<=``/``<`` range check, so this runs before them."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value).all():
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,12 +44,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_sensors < 1 or self.n_antennas < 1:
             raise ConfigurationError("n_sensors and n_antennas must be >= 1")
-        # NaN slips past every comparison below, so finiteness is checked first.
-        for name in ("path_loss_exp", "fc_noise_power", "distance_range",
-                     "sensor_noise_range", "theta"):
-            value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        check_finite(self, ("path_loss_exp", "fc_noise_power", "distance_range",
+                             "sensor_noise_range", "theta"))
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
         for name, (lo, hi) in (
@@ -73,6 +79,8 @@ class Scenario:
             raise ConfigurationError(
                 "distances and sensor_noise_powers must have length n_sensors"
             )
+        check_finite(self, ("distances", "sensor_noise_powers", "fc_noise_power",
+                             "path_loss_exp", "theta"))
         if np.any(d <= 0):
             raise ConfigurationError("distances must be strictly positive")
         # Zero sensor/FC noise is allowed for noiseless synthesis; estimator
@@ -125,6 +133,7 @@ def _complex_gaussian(gen: np.random.Generator, variances: np.ndarray, size) -> 
     return scale * (re + 1j * im)
 
 
+@single_threaded()
 def synthesize_received_signal(
     scenario: Scenario,
     channel: ChannelRealization,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from .blas import single_threaded
 from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError, DegenerateInstanceError
 
@@ -22,6 +23,7 @@ def _degeneracy_floor(b: np.ndarray) -> float:
     return 1e-14 * float(np.real(np.trace(b))) + np.finfo(float).tiny
 
 
+@single_threaded()
 def noise_covariance(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
     """Covariance of the effective noise at the FC: H V H^H + sigma_n^2 I_M."""
     if scenario.fc_noise_power <= 0:
@@ -33,6 +35,7 @@ def noise_covariance(channel: ChannelRealization, scenario: Scenario) -> np.ndar
     return 0.5 * (c + c.conj().T)
 
 
+@single_threaded()
 def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
     """Compute B = H^H (H V H^H + sigma_n^2 I)^{-1} H.
 
@@ -69,6 +72,7 @@ def check_unit_modulus(a: np.ndarray, tol: float = 1e-12) -> None:
         raise ConfigurationError("phase vector entries must have unit modulus")
 
 
+@single_threaded()
 def ml_estimate(
     y: np.ndarray,
     channel: ChannelRealization,
@@ -90,6 +94,7 @@ def ml_estimate(
     return complex(np.vdot(g, y) / denom)
 
 
+@single_threaded()
 def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
     """Eq.-style variance 1 / (a^H B a) at phase vector a."""
     check_unit_modulus(np.asarray(a))
@@ -99,6 +104,7 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 / q
 
 
+@single_threaded()
 def variance_lower_bound(b: np.ndarray, n_sensors: int | None = None) -> float:
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance."""
     n = b.shape[0] if n_sensors is None else n_sensors

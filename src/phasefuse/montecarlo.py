@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import asymptotics
+from .blas import single_threaded
 from .channel import (
     ChannelRealization,
     Scenario,
@@ -189,6 +190,7 @@ def _run_trial(
     )
 
 
+@single_threaded()
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the full sweep. Deterministic given the config, including under
     PHASEFUSE_THREADS > 1 (aggregation is in fixed trial order)."""
@@ -258,6 +260,7 @@ class UnbiasednessReport:
     mean_z_score: float
 
 
+@single_threaded()
 def verify_unbiasedness(
     scenario: Scenario,
     channel: ChannelRealization,
@@ -335,6 +338,7 @@ class ConcentrationReport:
     points: list[ConcentrationPoint]
 
 
+@single_threaded()
 def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationReport:
     """Empirical decay of the off-diagonal terms of (1/N) H V H^H (sensor
     mode) or (1/M) H^H H (antenna mode) as the averaged dimension grows."""

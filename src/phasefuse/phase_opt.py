@@ -6,8 +6,9 @@ rank-one rounding, the all-ones (no feedback) baseline, and an exhaustive
 grid oracle used for verification at small N.
 
 ``optimize_phases`` is the one entry point of every command, sweep and
-feedback round; it runs with OpenBLAS on one thread (see ``blas``) and
-restores the thread count on return, with the same output bits.
+feedback round. It, ``eigenvector_rounding`` and ``feedback_round`` run with
+OpenBLAS on one thread (see ``blas``) and restore the thread count on
+return, with the same output bits.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def optimize_phases(
     )
 
 
+@single_threaded()
 def eigenvector_rounding(b: np.ndarray) -> np.ndarray:
     """Phase-normalized leading eigenvector of B; the convergence-failure
     fallback used by the experiment harness."""
@@ -151,6 +153,7 @@ def eigenvector_rounding(b: np.ndarray) -> np.ndarray:
     return sdp.phase_normalize(u[:, -1])
 
 
+@single_threaded()
 def feedback_round(
     channel: ChannelRealization,
     scenario: Scenario,

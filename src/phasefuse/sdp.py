@@ -13,9 +13,9 @@ The diagonal constraint structure makes the Schur complement of the Newton
 system simply the elementwise squared modulus of the scaling matrix W,
 so each iteration costs a handful of dense N x N eigendecompositions.
 
-``solve`` runs with OpenBLAS on one thread (``blas.single_threaded``): on
-matrices this small, worker threads cost more than they save, and the
-arithmetic, hence every output bit, is the same.
+``solve`` and ``extract_rank_one`` run with OpenBLAS on one thread
+(``blas.single_threaded``): on matrices this small, worker threads cost more
+than they save, and the arithmetic, hence every output bit, is the same.
 
 The IPM calls LAPACK directly (``zheevr``, ``zhegvx``, ``dpotrf``/``dpotrs``),
 with the arguments ``scipy.linalg`` would pick and a workspace query cached
@@ -279,6 +279,7 @@ def phase_normalize(c: np.ndarray) -> np.ndarray:
     return out
 
 
+@single_threaded()
 def extract_rank_one(
     solution: SdpSolution,
     problem: SdpProblem,

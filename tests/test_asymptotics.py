@@ -138,3 +138,13 @@ class TestValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             inputs_of([2.0, 3.0], [0.01])
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("distances", dict(d=[np.nan, 3.0])),
+        ("sensor_noise_powers", dict(sv=[0.01, np.inf])),
+        ("fc_noise_power", dict(fc=np.nan)),
+        ("path_loss_exp", dict(alpha=np.inf)),
+    ])
+    def test_non_finite_rejected(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            inputs_of(**{"d": [2.0, 3.0], "sv": [0.01, 0.01], **kwargs})

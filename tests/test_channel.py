@@ -161,6 +161,23 @@ class TestScenarioValidation:
                      fc_noise_power=0.1, distances=np.ones(2),
                      sensor_noise_powers=np.ones(3) * 0.01)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("path_loss_exp", dict(alpha=np.nan)),
+        ("fc_noise_power", dict(fc=np.inf)),
+        ("distances", dict(d=[np.nan, 3.0, 3.0, 3.0])),
+        ("sensor_noise_powers", dict(sv=[0.005, np.inf, 0.005, 0.005])),
+        ("theta", dict(theta=complex(np.nan, 1.0))),
+    ])
+    def test_non_finite_rejected(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            make_scenario(**kwargs)
+
+    def test_all_nan_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            Scenario(n_sensors=2, n_antennas=2, path_loss_exp=np.nan,
+                     fc_noise_power=np.nan, distances=[np.nan, 3.0],
+                     sensor_noise_powers=[np.nan, 0.01])
+
 
 class TestRngStream:
     def test_child_streams_differ(self):
