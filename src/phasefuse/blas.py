@@ -12,8 +12,8 @@ can differ in the last bits. ``single_threaded`` sets the OpenBLAS builds
 bundled with numpy and scipy to one thread on the outermost entry and
 restores their counts on the outermost exit, also when the body raises. A
 lock-guarded depth count lets decorated functions call each other and lets
-pool workers (``PHASEFUSE_THREADS``) nest the scope. Where no bundled
-OpenBLAS is found it does nothing.
+callers' threads nest the scope. Where no bundled OpenBLAS is found it does
+nothing.
 """
 
 from __future__ import annotations

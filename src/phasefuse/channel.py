@@ -124,13 +124,14 @@ def generate_channel(scenario: Scenario, rng: RngStream) -> ChannelRealization:
     return ChannelRealization(matrix=matrix, phases=phases)
 
 
-def _complex_gaussian(gen: np.random.Generator, variances: np.ndarray, size) -> np.ndarray:
-    """Circularly-symmetric CN(0, diag(variances)); variance split evenly
-    between real and imaginary parts."""
+def complex_gaussian(gen: np.random.Generator, variances, size) -> np.ndarray:
+    """Circularly-symmetric CN(0, diag(variances)) draws of shape ``size``,
+    ``variances`` broadcast along the last axis; variance split evenly
+    between real and imaginary parts, real parts drawn first."""
     scale = np.sqrt(np.asarray(variances, dtype=float) / 2.0)
-    re = gen.standard_normal(size)
-    im = gen.standard_normal(size)
-    return scale * (re + 1j * im)
+    # One expression: named locals for the two draws would keep both alive
+    # until return and raise peak memory.
+    return scale * (gen.standard_normal(size) + 1j * gen.standard_normal(size))
 
 
 @single_threaded()
@@ -147,9 +148,7 @@ def synthesize_received_signal(
             f"phase vector has shape {a.shape}, expected ({scenario.n_sensors},)"
         )
     gen = rng.generator()
-    v = _complex_gaussian(gen, scenario.sensor_noise_powers, scenario.n_sensors)
-    n = _complex_gaussian(
-        gen, np.full(scenario.n_antennas, scenario.fc_noise_power), scenario.n_antennas
-    )
+    v = complex_gaussian(gen, scenario.sensor_noise_powers, scenario.n_sensors)
+    n = complex_gaussian(gen, scenario.fc_noise_power, scenario.n_antennas)
     h = channel.matrix
     return h @ (a * scenario.theta) + h @ (a * v) + n

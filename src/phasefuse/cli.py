@@ -8,7 +8,8 @@ Subcommands:
   oracle    compare SDP rounding against the exhaustive phase grid
   selftest  quick closed-form / identity / sandwich checks
 
-Exit status: 0 success, 1 runtime or I/O failure, 2 usage error.
+Exit status: 0 success, 1 runtime or I/O failure, 2 usage error (including
+a count below 1).
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ FIG1_SWEEP = tuple(range(2, 31, 2))
 FIG2_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -71,7 +79,7 @@ def _parse_strategies(text: str) -> tuple[PhaseStrategy, ...]:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=300)
+    p.add_argument("--trials", type=_parse_count, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--fc-noise", type=float, default=0.1)
@@ -94,26 +102,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("fig1", help="variance vs. number of sensors")
     _add_common_flags(p1)
-    p1.add_argument("--antennas", type=int, default=4)
-    p1.add_argument("--sensors", type=int, nargs="+", default=list(FIG1_SWEEP),
+    p1.add_argument("--antennas", type=_parse_count, default=4)
+    p1.add_argument("--sensors", type=_parse_count, nargs="+", default=list(FIG1_SWEEP),
                     help="sweep values for N")
 
     p2 = sub.add_parser("fig2", help="variance vs. number of FC antennas")
     _add_common_flags(p2)
-    p2.add_argument("--sensors", type=int, default=4)
-    p2.add_argument("--antennas", type=int, nargs="+", default=list(FIG2_SWEEP),
+    p2.add_argument("--sensors", type=_parse_count, default=4)
+    p2.add_argument("--antennas", type=_parse_count, nargs="+", default=list(FIG2_SWEEP),
                     help="sweep values for M")
 
     pr = sub.add_parser("run", help="single instance, all strategies")
     _add_common_flags(pr)
-    pr.add_argument("--sensors", type=int, required=True)
-    pr.add_argument("--antennas", type=int, required=True)
+    pr.add_argument("--sensors", type=_parse_count, required=True)
+    pr.add_argument("--antennas", type=_parse_count, required=True)
 
     po = sub.add_parser("oracle", help="SDP vs. exhaustive grid comparison")
     _add_common_flags(po)
-    po.add_argument("--sensors", type=int, default=3)
-    po.add_argument("--antennas", type=int, default=4)
-    po.add_argument("--instances", type=int, default=20)
+    po.add_argument("--sensors", type=_parse_count, default=3)
+    po.add_argument("--antennas", type=_parse_count, default=4)
+    po.add_argument("--instances", type=_parse_count, default=20)
 
     sub.add_parser("selftest", help="closed-form, identity and sandwich checks")
     return parser
@@ -278,8 +286,8 @@ def _cmd_sweep(args, sweep: str) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = ScenarioConfig(
+def _scenario_config(args) -> ScenarioConfig:
+    return ScenarioConfig(
         n_sensors=args.sensors,
         n_antennas=args.antennas,
         path_loss_exp=args.alpha,
@@ -287,8 +295,11 @@ def _cmd_run(args) -> int:
         distance_range=args.dist_range,
         sensor_noise_range=args.sensor_noise_range,
     )
+
+
+def _cmd_run(args) -> int:
     stream = RngStream(args.seed, 0)
-    scenario = sample_scenario(config, stream.child(0))
+    scenario = sample_scenario(_scenario_config(args), stream.child(0))
     channel = generate_channel(scenario, stream.child(1))
     b = fisher_matrix(channel, scenario)
     print(f"instance: N={args.sensors} M={args.antennas} seed={args.seed}")
@@ -307,19 +318,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.sensors > 4:
-        raise PhasefuseError("grid oracle limited to N <= 4")
     print(f"SDP vs. grid oracle, N={args.sensors}, M={args.antennas}, "
           f"{args.instances} instances")
     print(f"{'instance':>8} {'sdp_var':>14} {'grid_var':>14} {'ratio':>8}")
-    config = ScenarioConfig(
-        n_sensors=args.sensors,
-        n_antennas=args.antennas,
-        path_loss_exp=args.alpha,
-        fc_noise_power=args.fc_noise,
-        distance_range=args.dist_range,
-        sensor_noise_range=args.sensor_noise_range,
-    )
+    config = _scenario_config(args)
     worst = 0.0
     for k in range(args.instances):
         stream = RngStream(args.seed, k)

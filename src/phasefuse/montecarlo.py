@@ -5,13 +5,11 @@ Sweeps the sensor count N (antenna count fixed) or the antenna count M
 (sensor count fixed), runs independent trials per sweep point, and
 aggregates mean variance and standard error per phase strategy. Trial t of
 point p uses the random stream (master_seed, p * trials + t), so results
-are a pure function of the config and identical for any worker count.
+are a pure function of the config.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +21,7 @@ from .channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    complex_gaussian,
     generate_channel,
     sample_scenario,
 )
@@ -40,9 +39,25 @@ from .rng import RngStream
 SENSOR_SWEEP = "sensors"
 ANTENNA_SWEEP = "antennas"
 
-THREADS_ENV_VAR = "PHASEFUSE_THREADS"
-
 DEFAULT_STRATEGIES = (PhaseStrategy(SDP_RELAXATION), PhaseStrategy(ALL_ONES))
+
+
+def _scenario_config(
+    config: ExperimentConfig | ConcentrationConfig, sweep: str, value: int
+) -> ScenarioConfig:
+    """The scenario of one sweep point: ``value`` sensors and
+    ``config.fixed_count`` antennas for a sensor sweep, the other way round
+    for an antenna sweep, with ``config``'s scenario ranges."""
+    n, m = (value, config.fixed_count) if sweep == SENSOR_SWEEP \
+        else (config.fixed_count, value)
+    return ScenarioConfig(
+        n_sensors=n,
+        n_antennas=m,
+        path_loss_exp=config.path_loss_exp,
+        fc_noise_power=config.fc_noise_power,
+        distance_range=config.distance_range,
+        sensor_noise_range=config.sensor_noise_range,
+    )
 
 
 @dataclass(frozen=True)
@@ -59,10 +74,7 @@ class ExperimentConfig:
     fc_noise_power: float = 0.1
     distance_range: tuple[float, float] = (2.0, 7.0)
     sensor_noise_range: tuple[float, float] = (0.001, 0.01)
-    theta: complex = 1.0 + 0.0j
     resample_scenario_per_trial: bool = True
-    include_asymptotics: bool = True
-    n_workers: int | None = None
 
     def __post_init__(self):
         if self.sweep not in (SENSOR_SWEEP, ANTENNA_SWEEP):
@@ -77,22 +89,13 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if not self.strategies:
             raise ConfigurationError("at least one strategy is required")
+        # Results are keyed by label, so a repeat would overwrite its twin.
+        labels = [s.label for s in self.strategies]
+        if len(set(labels)) != len(labels):
+            raise ConfigurationError(f"strategies must not repeat, got {labels}")
 
     def scenario_config(self, sweep_value: int) -> ScenarioConfig:
-        n, m = (
-            (sweep_value, self.fixed_count)
-            if self.sweep == SENSOR_SWEEP
-            else (self.fixed_count, sweep_value)
-        )
-        return ScenarioConfig(
-            n_sensors=n,
-            n_antennas=m,
-            path_loss_exp=self.path_loss_exp,
-            fc_noise_power=self.fc_noise_power,
-            distance_range=self.distance_range,
-            sensor_noise_range=self.sensor_noise_range,
-            theta=self.theta,
-        )
+        return _scenario_config(self, self.sweep, sweep_value)
 
 
 @dataclass
@@ -123,18 +126,6 @@ class SweepResult:
     sweep_param: str
     points: list[PointResult]
     config: ExperimentConfig
-
-
-def resolve_workers(requested: int | None) -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return max(1, requested or 1)
 
 
 @dataclass
@@ -192,9 +183,7 @@ def _run_trial(
 
 @single_threaded()
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the full sweep. Deterministic given the config, including under
-    PHASEFUSE_THREADS > 1 (aggregation is in fixed trial order)."""
-    workers = resolve_workers(config.n_workers)
+    """Run the full sweep. Deterministic given the config."""
     points: list[PointResult] = []
 
     for p, value in enumerate(config.sweep_values):
@@ -207,14 +196,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         if not config.resample_scenario_per_trial:
             fixed_scenario = sample_scenario(scn_config, streams[0].child(0))
 
-        def job(stream: RngStream) -> _TrialOutcome:
-            return _run_trial(config, scn_config, stream, fixed_scenario)
-
-        if workers == 1:
-            outcomes = [job(s) for s in streams]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(job, streams))
+        outcomes = [_run_trial(config, scn_config, s, fixed_scenario) for s in streams]
 
         stats: dict[str, StrategyStats] = {}
         degraded = False
@@ -240,12 +222,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             lower_bound_mean=float(np.mean([o.lower_bound for o in outcomes])),
             degraded=degraded,
         )
-        if config.include_asymptotics:
-            if config.sweep == SENSOR_SWEEP:
-                point.eq11 = float(np.mean([o.eq11 for o in outcomes]))
-                point.eq12 = float(np.mean([o.eq12 for o in outcomes]))
-            else:
-                point.eq17 = float(np.mean([o.eq17 for o in outcomes]))
+        if config.sweep == SENSOR_SWEEP:
+            point.eq11 = float(np.mean([o.eq11 for o in outcomes]))
+            point.eq12 = float(np.mean([o.eq12 for o in outcomes]))
+        else:
+            point.eq17 = float(np.mean([o.eq17 for o in outcomes]))
         points.append(point)
 
     return SweepResult(sweep_param=config.sweep, points=points, config=config)
@@ -277,14 +258,8 @@ def verify_unbiasedness(
     t = int(trials)
 
     sv = scenario.sensor_noise_powers
-    v = np.sqrt(sv / 2.0) * (
-        gen.standard_normal((t, scenario.n_sensors))
-        + 1j * gen.standard_normal((t, scenario.n_sensors))
-    )
-    fc = np.sqrt(scenario.fc_noise_power / 2.0) * (
-        gen.standard_normal((t, scenario.n_antennas))
-        + 1j * gen.standard_normal((t, scenario.n_antennas))
-    )
+    v = complex_gaussian(gen, sv, (t, scenario.n_sensors))
+    fc = complex_gaussian(gen, scenario.fc_noise_power, (t, scenario.n_antennas))
     ha = h @ a
     y = scenario.theta * ha[np.newaxis, :] + (a * v) @ h.T + fc
 
@@ -344,19 +319,7 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
     mode) or (1/M) H^H H (antenna mode) as the averaged dimension grows."""
     points: list[ConcentrationPoint] = []
     for p, value in enumerate(config.values):
-        n, m = (
-            (value, config.fixed_count)
-            if config.mode == SENSOR_SWEEP
-            else (config.fixed_count, value)
-        )
-        scn_config = ScenarioConfig(
-            n_sensors=n,
-            n_antennas=m,
-            path_loss_exp=config.path_loss_exp,
-            fc_noise_power=config.fc_noise_power,
-            distance_range=config.distance_range,
-            sensor_noise_range=config.sensor_noise_range,
-        )
+        scn_config = _scenario_config(config, config.mode, value)
         applicable = value > 1
         rels = np.zeros(config.n_draws)
         for t in range(config.n_draws):
@@ -365,9 +328,9 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
             channel = generate_channel(scenario, stream.child(1))
             h = channel.matrix
             if config.mode == SENSOR_SWEEP:
-                g = (h * scenario.sensor_noise_powers[np.newaxis, :]) @ h.conj().T / n
+                g = (h * scenario.sensor_noise_powers[np.newaxis, :]) @ h.conj().T / value
             else:
-                g = h.conj().T @ h / m
+                g = h.conj().T @ h / value
             diag_mean = float(np.mean(np.real(np.diag(g))))
             off = g - np.diag(np.diag(g))
             rels[t] = float(np.max(np.abs(off))) / diag_mean if g.shape[0] > 1 else np.nan

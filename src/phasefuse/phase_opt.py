@@ -37,17 +37,13 @@ _GRID_MAX_SENSORS = 4
 
 @dataclass(frozen=True)
 class PhaseStrategy:
-    """Named phase-selection method plus its tuning knobs."""
+    """Named phase-selection method."""
 
     kind: str
-    num_candidates: int = 100      # SDP rounding pool size
-    grid_step_deg: float | None = None  # grid oracle resolution; default by N
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
-        if self.num_candidates < 1:
-            raise ConfigurationError("num_candidates must be >= 1")
 
     @property
     def label(self) -> str:
@@ -129,12 +125,12 @@ def optimize_phases(
     elif strategy.kind == ALL_ONES:
         a = np.ones(n, dtype=complex)
     elif strategy.kind == GRID_ORACLE:
-        a, _ = grid_search(b, strategy.grid_step_deg)
+        a, _ = grid_search(b)
     else:  # SDP_RELAXATION
         problem = sdp.SdpProblem(objective=b)
         solution = sdp.solve(problem)
         relaxation_value = solution.objective_value
-        a = sdp.extract_rank_one(solution, problem, rng, strategy.num_candidates)
+        a = sdp.extract_rank_one(solution, problem, rng)
 
     return OptimizationReport(
         phases=a,

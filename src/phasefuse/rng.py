@@ -3,8 +3,7 @@
 
 Every stochastic operation in the package takes an explicit ``RngStream``.
 Streams are keyed by (master_seed, stream_index, sub-key path) through
-numpy's ``SeedSequence``, so the draw sequence is a pure function of the key
-and independent of scheduling or worker count.
+numpy's ``SeedSequence``, so the draw sequence is a pure function of the key.
 """
 
 from __future__ import annotations

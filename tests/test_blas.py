@@ -200,7 +200,7 @@ SCOPED = [
     ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
     ("variance_lower_bound", scipy.linalg, "eigvalsh", _call_variance_lower_bound),
-    ("synthesize_received_signal", channel, "_complex_gaussian", _call_synthesize),
+    ("synthesize_received_signal", channel, "complex_gaussian", _call_synthesize),
     ("eigenvector_rounding", scipy.linalg, "eigh", _call_eigenvector_rounding),
     ("feedback_round", phase_opt, "fisher_matrix", _call_feedback_round),
     ("extract_rank_one", phasefuse.sdp, "_eigh", _call_extract_rank_one),
@@ -275,14 +275,3 @@ def test_restored_after_raise(call):
     with pytest.raises((PhasefuseError, ValueError)):
         call()
     assert counts() == [PRIOR] * len(blas._libraries())
-
-
-def test_run_sweep_nests_in_pool_workers(monkeypatch):
-    monkeypatch.setenv(montecarlo.THREADS_ENV_VAR, "2")
-    seen = record(monkeypatch, montecarlo, "fisher_matrix")
-    config = small_sweep(trials=8)
-    result = montecarlo.run_sweep(config)
-    assert len(seen) == 16 and seen == [[1] * len(blas._libraries())] * 16
-    assert counts() == [PRIOR] * len(blas._libraries())
-    monkeypatch.setenv(montecarlo.THREADS_ENV_VAR, "1")
-    assert montecarlo.run_sweep(config).points == result.points

@@ -191,10 +191,31 @@ class TestCommands:
         assert main(subcommand + [flag, value]) == 1
         assert "must be finite" in capsys.readouterr().err
 
-    def test_non_integer_threads_env_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setenv("PHASEFUSE_THREADS", "abc")
-        assert main(["fig1", "--sensors", "2", "--trials", "1"]) == 1
-        assert "error: PHASEFUSE_THREADS" in capsys.readouterr().err
+    def test_repeated_strategy_exits_1(self, capsys):
+        argv = ["fig1", "--sensors", "6", "--trials", "3", "--strategies", "sdp,sdp"]
+        assert main(argv) == 1
+        assert "error: strategies must not repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--trials", "0"],
+        ["fig1", "--sensors", "2", "0"],
+        ["fig1", "--antennas", "0"],
+        ["fig2", "--sensors", "0"],
+        ["fig2", "--antennas", "0", "1"],
+        ["run", "--sensors", "0", "--antennas", "2"],
+        ["run", "--sensors", "2", "--antennas", "0"],
+        ["oracle", "--instances", "0"],
+        ["oracle", "--sensors", "0"],
+        ["oracle", "--antennas", "0"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_count_below_one_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_oracle_beyond_grid_limit_exits_1(self, capsys):
+        assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1
+        assert "error: grid oracle limited to N <= 4" in capsys.readouterr().err
 
     def test_determinism_same_argv(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,0 +1,89 @@
+"""Property tests of the relaxation's invariants on random PSD objectives
+B = G G^H (N in 2..8, rank 1..N). Examples are capped and derandomized so
+the suite stays fast and deterministic and writes no example database."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phasefuse.estimator import variance_lower_bound
+from phasefuse.phase_opt import SDP_RELAXATION, PhaseStrategy, optimize_phases, optimize_phases_n2
+from phasefuse.rng import RngStream
+from phasefuse.sdp import SdpProblem, solve
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+OBJECTIVE_RTOL = 1e-8
+
+
+@st.composite
+def instances(draw, sizes=st.integers(2, 8)):
+    """(B, generator) with B = G G^H of the drawn size and rank; the
+    generator, seeded alongside G, draws each test's transformation."""
+    n = draw(sizes)
+    rank = draw(st.integers(1, n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = gen.standard_normal((n, rank)) + 1j * gen.standard_normal((n, rank))
+    return g @ g.conj().T, gen
+
+
+def unitary_diagonal(gen, n):
+    return np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, n))
+
+
+def rotate(b, d):
+    """D^H B D for D = diag(d)."""
+    return d.conj()[:, np.newaxis] * b * d[np.newaxis, :]
+
+
+def relaxation_value(b):
+    return solve(SdpProblem(objective=b)).objective_value
+
+
+def assert_objective_close(actual, desired):
+    # solve stops at a duality gap of 1e-9 * max(1, |objective|), so below an
+    # objective of 1 its accuracy is absolute, not relative.
+    assert abs(actual - desired) <= OBJECTIVE_RTOL * max(1.0, abs(desired))
+
+
+@SETTINGS
+@given(instances())
+def test_sandwich(instance):
+    b, _ = instance
+    report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), RngStream(0))
+    relax_bound = 1.0 / report.relaxation_value
+    assert report.lower_bound <= relax_bound * (1 + 1e-8)
+    assert relax_bound <= report.achieved_variance * (1 + 1e-8)
+
+
+@SETTINGS
+@given(instances())
+def test_diagonal_unitary_invariance(instance):
+    b, gen = instance
+    rotated = rotate(b, unitary_diagonal(gen, b.shape[0]))
+    assert_objective_close(relaxation_value(rotated), relaxation_value(b))
+    np.testing.assert_allclose(variance_lower_bound(rotated), variance_lower_bound(b),
+                               rtol=1e-12)
+
+
+@SETTINGS
+@given(instances(sizes=st.just(2)))
+def test_closed_form_rotates_with_diagonal_unitary(instance):
+    b, gen = instance
+    d = unitary_diagonal(gen, 2)
+    ratio = optimize_phases_n2(rotate(b, d)) / (d.conj() * optimize_phases_n2(b))
+    np.testing.assert_allclose(ratio, ratio[0], rtol=0.0, atol=1e-12)
+
+
+@SETTINGS
+@given(instances())
+def test_permutation_invariance(instance):
+    b, gen = instance
+    perm = gen.permutation(b.shape[0])
+    assert_objective_close(relaxation_value(b[np.ix_(perm, perm)]), relaxation_value(b))
+
+
+@SETTINGS
+@given(instances(), st.floats(0.01, 100.0))
+def test_positive_scale_covariance(instance, scale):
+    b, _ = instance
+    assert_objective_close(relaxation_value(scale * b), scale * relaxation_value(b))
