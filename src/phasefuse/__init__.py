@@ -5,6 +5,7 @@ Library layout:
   channel     path-loss channel / scenario sampling / signal synthesis
   estimator   Fisher-style matrix B, ML estimate, variance and lower bound
   sdp         unit-diagonal SDP relaxation (interior point) + rank-one rounding
+  lapack      every LAPACK call, through scipy's compiled wrappers (no scipy.linalg)
   blas        single-threaded OpenBLAS scope around all of the linear algebra
   phase_opt   strategy dispatch: closed form N=2, SDP, all-ones, grid oracle
   asymptotics large-N bounds and the large-M variance law

@@ -13,7 +13,8 @@ bundled with numpy and scipy to one thread on the outermost entry and
 restores their counts on the outermost exit, also when the body raises. A
 lock-guarded depth count lets decorated functions call each other and lets
 callers' threads nest the scope. Where no bundled OpenBLAS is found it does
-nothing.
+nothing. phasefuse's LAPACK calls (``phasefuse.lapack``) run on scipy's
+OpenBLAS; its matrix products run on numpy's.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _SYMBOLS = (
 @functools.cache
 def _libraries() -> tuple[tuple[object, object], ...]:
     """(get, set) thread-count functions of each OpenBLAS bundled beside
-    numpy and scipy. The libraries are already loaded, so dlopen returns the
-    live instance."""
+    numpy and scipy. The libraries are already loaded (numpy's by numpy,
+    scipy's by ``phasefuse.lapack`` loading scipy's LAPACK wrapper), so
+    dlopen returns the live instance."""
     found = []
     for package in (np, scipy):
         libs = Path(package.__file__).resolve().parents[1] / f"{package.__name__}.libs"

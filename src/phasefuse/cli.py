@@ -15,6 +15,7 @@ a count below 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,7 +94,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit-plot-script", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``phasefuse`` parser, built once per process and shared by every
+    ``main`` call: parsing leaves no state in it, and its defaults are
+    immutable."""
     parser = argparse.ArgumentParser(
         prog="phasefuse",
         description="Phase-only analog encoding simulator for multi-antenna fusion",
@@ -103,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p1 = sub.add_parser("fig1", help="variance vs. number of sensors")
     _add_common_flags(p1)
     p1.add_argument("--antennas", type=_parse_count, default=4)
-    p1.add_argument("--sensors", type=_parse_count, nargs="+", default=list(FIG1_SWEEP),
+    p1.add_argument("--sensors", type=_parse_count, nargs="+", default=FIG1_SWEEP,
                     help="sweep values for N")
 
     p2 = sub.add_parser("fig2", help="variance vs. number of FC antennas")
     _add_common_flags(p2)
     p2.add_argument("--sensors", type=_parse_count, default=4)
-    p2.add_argument("--antennas", type=_parse_count, nargs="+", default=list(FIG2_SWEEP),
+    p2.add_argument("--antennas", type=_parse_count, nargs="+", default=FIG2_SWEEP,
                     help="sweep values for M")
 
     pr = sub.add_parser("run", help="single instance, all strategies")

@@ -12,8 +12,8 @@ Var(theta_hat) = 1 / (a^H B a), lower-bounded by 1 / (N lambda_max(B)).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import lapack
 from .blas import single_threaded
 from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError, DegenerateInstanceError
@@ -55,11 +55,10 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     if m > n and np.all(sv > 0):
         g = h.conj().T @ h
         inner = np.diag(1.0 / sv) + g / s
-        b = g / s - (g @ sla.solve(inner, g, assume_a="pos")) / (s * s)
+        b = g / s - (g @ lapack.solve_pos(inner, g)) / (s * s)
     else:
         c = noise_covariance(channel, scenario)
-        cf = sla.cho_factor(c, lower=True)
-        b = h.conj().T @ sla.cho_solve(cf, h)
+        b = h.conj().T @ lapack.cho_solve(lapack.cho_factor(c), h)
     return 0.5 * (b + b.conj().T)
 
 
@@ -85,9 +84,9 @@ def ml_estimate(
     if a.shape != (h.shape[1],):
         raise ConfigurationError("phase vector length must equal the number of sensors")
     c = noise_covariance(channel, scenario)
-    cf = sla.cho_factor(c, lower=True)
+    cf = lapack.cho_factor(c)
     ha = h @ a
-    g = sla.cho_solve(cf, ha)  # C^{-1} H a
+    g = lapack.cho_solve(cf, ha)  # C^{-1} H a
     denom = float(np.real(np.vdot(ha, g)))
     if denom <= np.finfo(float).tiny:
         raise DegenerateInstanceError("a^H B a vanishes (all-zero channel?)")
@@ -108,7 +107,7 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
 def variance_lower_bound(b: np.ndarray, n_sensors: int | None = None) -> float:
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance."""
     n = b.shape[0] if n_sensors is None else n_sensors
-    lam_max = float(np.max(sla.eigvalsh(b)))
+    lam_max = float(np.max(lapack.eigvalsh(b)))
     if lam_max <= _degeneracy_floor(b):
         raise DegenerateInstanceError("lambda_max(B) is degenerate")
     return 1.0 / (n * lam_max)

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import asymptotics
+from . import asymptotics, lapack
 from .blas import single_threaded
 from .channel import (
     ChannelRealization,
@@ -267,7 +266,7 @@ def verify_unbiasedness(
         g = ha  # noiseless limit: matched filter recovers theta exactly
     else:
         c = noise_covariance(channel, scenario)
-        g = sla.cho_solve(sla.cho_factor(c, lower=True), ha)
+        g = lapack.cho_solve(lapack.cho_factor(c), ha)
     q = float(np.real(np.vdot(ha, g)))
     estimates = (y @ g.conj()) / q
 

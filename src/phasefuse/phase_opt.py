@@ -17,9 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import sdp
+from . import lapack, sdp
 from .blas import single_threaded
 from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError
@@ -145,7 +144,7 @@ def optimize_phases(
 def eigenvector_rounding(b: np.ndarray) -> np.ndarray:
     """Phase-normalized leading eigenvector of B; the convergence-failure
     fallback used by the experiment harness."""
-    _, u = sla.eigh(np.asarray(b))
+    _, u = lapack.eigh(b)
     return sdp.phase_normalize(u[:, -1])
 
 

@@ -17,35 +17,33 @@ so each iteration costs a handful of dense N x N eigendecompositions.
 (``blas.single_threaded``): on matrices this small, worker threads cost more
 than they save, and the arithmetic, hence every output bit, is the same.
 
-The IPM calls LAPACK directly (``zheevr``, ``zhegvx``, ``dpotrf``/``dpotrs``),
-with the arguments ``scipy.linalg`` would pick and a workspace query cached
-per N: at these sizes ``scipy.linalg``'s per-call wrapper (validation, a
-fresh workspace query, batching) cost about as much as LAPACK itself. The
-results are bit-identical, and the finiteness and ``info`` checks are kept.
+The IPM's eigensolves, step lengths and Cholesky solves (``zheevr``,
+``zhegvx``, ``dpotrf``/``dpotrs``) go through ``phasefuse.lapack``, which
+calls scipy's compiled wrappers with the arguments ``scipy.linalg`` would pick
+and a workspace query cached per N; the results are bit-identical.
+
+The stopping test is ``gap <= gap_tol * max(1, |tr(B A)|)``: relative to the
+objective when it exceeds 1, absolute below that.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
+from . import lapack
 from .blas import single_threaded
 from .errors import ConfigurationError, ConvergenceError
 from .rng import RngStream
 
 HERMITIAN_TOL = 1e-12
-DEFAULT_GAP_TOL = 1e-9  # relative; well inside the 1e-7 certificate requirement
+# Stop at gap <= DEFAULT_GAP_TOL * max(1, |objective|): an absolute tolerance
+# for objectives below 1, relative above; well inside the 1e-7 certificate.
+DEFAULT_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 EIG_CLIP_REL = 1e-12
 STEP_FRACTION = 0.98
-
-_HEEVR, _HEEVR_LWORK, _HEGVX, _HEGVX_LWORK = get_lapack_funcs(
-    ("heevr", "heevr_lwork", "hegvx", "hegvx_lwork"), dtype=np.complex128
-)
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -86,74 +84,18 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-
-
-@functools.cache
-def _heevr_lwork(n: int) -> tuple[int, int, int]:
-    work, rwork, iwork, info = _HEEVR_LWORK(n, lower=1)
-    if info:
-        raise ValueError(f"heevr workspace query failed: {info}")
-    return int(work.real), int(rwork), int(iwork)
-
-
-@functools.cache
-def _hegvx_lwork(n: int) -> int:
-    work, info = _HEGVX_LWORK(n, uplo="L")
-    if info:
-        raise ValueError(f"hegvx workspace query failed: {info}")
-    return int(work.real)
-
-
-def _eigh(a: np.ndarray, compute_v: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and (if ``compute_v``) eigenvectors of Hermitian
-    ``a``, lower triangle: ``scipy.linalg.eigh``'s own ``heevr`` call."""
-    _check_finite(a)
-    lwork, lrwork, liwork = _heevr_lwork(a.shape[0])
-    w, v, _, _, info = _HEEVR(
-        a, compute_v=compute_v, lower=1, lwork=lwork, lrwork=lrwork, liwork=liwork
-    )
-    if info:
-        raise np.linalg.LinAlgError(f"heevr failed: info={info}")
-    return w, v
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric PD ``a`` (upper triangle left as
-    input), as ``scipy.linalg.cho_factor(a, lower=True)``."""
-    _check_finite(a)
-    c, info = _POTRF(a, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    return c
-
-
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with a ``_cholesky`` factor, as ``scipy.linalg.cho_solve``."""
-    _check_finite(b, c)
-    x, info = _POTRS(c, b, lower=1)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
-
-
 def _nt_scaling(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nesterov-Todd scaling point W with W Z W = X, plus Z^{-1}.
 
     W = Z^{-1/2} (Z^{1/2} X Z^{1/2})^{1/2} Z^{-1/2}.
     """
-    wz, qz = _eigh(z)
+    wz, qz = lapack.eigh(z)
     wz = np.maximum(wz, np.finfo(float).tiny)
     z_half = (qz * np.sqrt(wz)) @ qz.conj().T
     z_ihalf = (qz * (1.0 / np.sqrt(wz))) @ qz.conj().T
     z_inv = (qz * (1.0 / wz)) @ qz.conj().T
     s = _herm(z_half @ x @ z_half)
-    ws, qs = _eigh(s)
+    ws, qs = lapack.eigh(s)
     ws = np.maximum(ws, np.finfo(float).tiny)
     s_half = (qs * np.sqrt(ws)) @ qs.conj().T
     w = _herm(z_ihalf @ s_half @ z_ihalf)
@@ -166,14 +108,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     The smallest eigenvalue of the pencil (dX, X) is that of
     X^{-1/2} dX X^{-1/2}; one generalized eigensolve finds it.
     """
-    _check_finite(dx, x)
-    w, _, _, _, info = _HEGVX(
-        dx, x, itype=1, jobz="N", range="I", uplo="L", il=1, iu=1,
-        lwork=_hegvx_lwork(x.shape[0]),
-    )
-    if info:
-        raise np.linalg.LinAlgError(f"hegvx failed: info={info}")
-    lam_min = float(w[0])
+    lam_min = lapack.pencil_min_eigenvalue(dx, x)
     if lam_min >= -np.finfo(float).eps:
         return np.inf
     return -1.0 / lam_min
@@ -187,10 +122,12 @@ def solve(
 ) -> SdpSolution:
     """Solve the unit-diagonal SDP relaxation to the requested duality gap.
 
-    Stops early when the step length can no longer be computed (an iterate
-    lost numerical definiteness). Raises ConvergenceError (carrying the best
-    iterate) if the gap has not reached 1e-7 relative by then, or within
-    ``max_iter`` iterations.
+    Stops once the duality gap is at most ``gap_tol * max(1, |tr(B A)|)``,
+    which is absolute, not relative, for objectives below 1. Also stops when
+    the step length can no longer be computed (an iterate lost numerical
+    definiteness), or after ``max_iter`` iterations. Raises ConvergenceError
+    (carrying the best iterate) if the gap then exceeds
+    ``1e-7 * max(1, |tr(B A)|)``.
     """
     b = problem.objective
     n = problem.dimension
@@ -207,7 +144,7 @@ def solve(
             iterations=0,
         )
 
-    lam_max = float(np.max(_eigh(b, compute_v=0)[0]))
+    lam_max = float(np.max(lapack.eigvalsh(b)))
     scale = max(1.0, abs(lam_max))
 
     x = np.eye(n, dtype=complex)
@@ -224,11 +161,11 @@ def solve(
         mu = gap / n
         w, z_inv = _nt_scaling(x, z)
         schur = np.real(w * w.conj())  # (|W_ij|^2), symmetric PD
-        cf = _cholesky(schur)
+        cf = lapack.cho_factor(schur)
         diag_zinv = np.real(np.diag(z_inv))
 
         def direction(sigma_mu: float):
-            dy = _cho_solve(cf, ones - sigma_mu * diag_zinv)
+            dy = lapack.cho_solve(cf, ones - sigma_mu * diag_zinv)
             dz = -np.diag(dy).astype(complex)
             dx = _herm(sigma_mu * z_inv - x + (w * dy[np.newaxis, :]) @ w)
             return dx, dz
@@ -260,7 +197,7 @@ def solve(
         objective_value=obj,
         duality_gap=max(gap, 0.0),
         diag_residual=float(np.max(np.abs(np.real(np.diag(x)) - 1.0))),
-        min_eigenvalue=float(np.min(_eigh(x, compute_v=0)[0])),
+        min_eigenvalue=float(np.min(lapack.eigvalsh(x))),
         iterations=iterations,
     )
     if sol.duality_gap > 1e-7 * max(1.0, abs(obj)):
@@ -296,7 +233,7 @@ def extract_rank_one(
     """
     b = problem.objective
     n = problem.dimension
-    w, u = _eigh(solution.gram)
+    w, u = lapack.eigh(solution.gram)
     w = np.where(w < EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w)
 
     gen = rng.generator()

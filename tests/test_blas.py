@@ -4,10 +4,9 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import phasefuse.sdp
-from phasefuse import blas, channel, estimator, montecarlo, phase_opt
+from phasefuse import blas, channel, estimator, lapack, montecarlo, phase_opt
 from phasefuse.errors import ConvergenceError, PhasefuseError
 from phasefuse.phase_opt import SDP_RELAXATION, PhaseStrategy, optimize_phases
 from phasefuse.rng import RngStream
@@ -196,14 +195,14 @@ def _call_verify_concentration():
 # callee runs inside the scoped function's BLAS or LAPACK work.
 SCOPED = [
     ("fisher_matrix", estimator, "noise_covariance", lambda: _call_fisher(6, 3)),
-    ("fisher_matrix_m_gt_n", scipy.linalg, "solve", lambda: _call_fisher(3, 6)),
+    ("fisher_matrix_m_gt_n", lapack, "solve_pos", lambda: _call_fisher(3, 6)),
     ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
-    ("variance_lower_bound", scipy.linalg, "eigvalsh", _call_variance_lower_bound),
+    ("variance_lower_bound", lapack, "eigvalsh", _call_variance_lower_bound),
     ("synthesize_received_signal", channel, "complex_gaussian", _call_synthesize),
-    ("eigenvector_rounding", scipy.linalg, "eigh", _call_eigenvector_rounding),
+    ("eigenvector_rounding", lapack, "eigh", _call_eigenvector_rounding),
     ("feedback_round", phase_opt, "fisher_matrix", _call_feedback_round),
-    ("extract_rank_one", phasefuse.sdp, "_eigh", _call_extract_rank_one),
+    ("extract_rank_one", lapack, "eigh", _call_extract_rank_one),
     ("run_sweep", montecarlo, "fisher_matrix", _call_run_sweep),
     ("verify_unbiasedness", montecarlo, "noise_covariance", _call_verify_unbiasedness),
     ("verify_diagonal_concentration", montecarlo, "generate_channel",

@@ -6,7 +6,7 @@ from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError
 from phasefuse.estimator import fisher_matrix
 from phasefuse.rng import RngStream
-from phasefuse import sdp
+from phasefuse import lapack, sdp
 from phasefuse.sdp import (
     SdpProblem,
     extract_rank_one,
@@ -42,14 +42,25 @@ class TestSolve:
     def test_workspace_cache_across_sizes(self):
         gen = np.random.default_rng(11)
         b30, b2 = random_psd(gen, 30), random_psd(gen, 2)
-        sdp._heevr_lwork.cache_clear()
-        sdp._hegvx_lwork.cache_clear()
+        lapack._evr_workspace.cache_clear()
+        lapack._gvx_workspace.cache_clear()
         fresh = solve(SdpProblem(b30))
         solve(SdpProblem(b2))
         again = solve(SdpProblem(b30))
         assert again.gram.tobytes() == fresh.gram.tobytes()
         assert (again.objective_value, again.duality_gap, again.iterations) \
             == (fresh.objective_value, fresh.duality_gap, fresh.iterations)
+
+    def test_gap_tolerance_absolute_below_objective_one(self):
+        # solve stops at gap <= gap_tol * max(1, |objective|). Scaled by 0.01
+        # the objective is 0.044, so the tolerance is absolute and the
+        # relative gap stays above gap_tol.
+        b = random_psd(np.random.default_rng(0), 2)
+        big, small = solve(SdpProblem(b)), solve(SdpProblem(0.01 * b))
+        assert big.objective_value > 1.0 > small.objective_value
+        assert big.duality_gap <= sdp.DEFAULT_GAP_TOL * big.objective_value
+        assert small.duality_gap <= sdp.DEFAULT_GAP_TOL
+        assert small.duality_gap > sdp.DEFAULT_GAP_TOL * small.objective_value
 
     # Fisher instances on which the step-length eigensolve once raised
     # LinAlgError ("leading minor ... not positive definite") at gap_tol 1e-10.
@@ -100,7 +111,8 @@ class TestSolve:
 
 
 class TestDirectLapack:
-    """The IPM's direct LAPACK calls give scipy.linalg's results bit for bit."""
+    """The IPM's LAPACK calls (``phasefuse.lapack``) give scipy.linalg's
+    results bit for bit, for real and complex input."""
 
     @staticmethod
     def hermitian(gen, n):
@@ -110,12 +122,14 @@ class TestDirectLapack:
     @pytest.mark.parametrize("n", [2, 10, 30, 60])
     def test_eigh_matches_scipy(self, n):
         gen = np.random.default_rng(n)
-        for a in (self.hermitian(gen, n), random_psd(gen, n)):
-            w, v = sdp._eigh(a)
-            w_ref, v_ref = sla.eigh(a)
-            assert w.tobytes() == w_ref.tobytes()
-            assert v.tobytes() == v_ref.tobytes()
-            assert sdp._eigh(a, compute_v=0)[0].tobytes() == sla.eigvalsh(a).tobytes()
+        for c in (self.hermitian(gen, n), random_psd(gen, n)):
+            for a in (c, c.real.copy()):
+                w, v = lapack.eigh(a)
+                w_ref, v_ref = sla.eigh(a)
+                assert (w.dtype, v.dtype) == (w_ref.dtype, v_ref.dtype)
+                assert w.tobytes() == w_ref.tobytes()
+                assert v.tobytes() == v_ref.tobytes()
+                assert lapack.eigvalsh(a).tobytes() == sla.eigvalsh(a).tobytes()
 
     @pytest.mark.parametrize("n", [2, 10, 30, 60])
     def test_step_length_matches_scipy(self, n):
@@ -130,11 +144,14 @@ class TestDirectLapack:
     def test_cholesky_solve_matches_scipy(self, n):
         gen = np.random.default_rng(200 + n)
         g = gen.standard_normal((n, n))
-        a, rhs = g @ g.T + n * np.eye(n), gen.standard_normal(n)
-        c = sdp._cholesky(a)
-        c_ref = sla.cho_factor(a, lower=True)
-        assert c.tobytes() == c_ref[0].tobytes()
-        assert sdp._cho_solve(c, rhs).tobytes() == sla.cho_solve(c_ref, rhs).tobytes()
+        real = g @ g.T + n * np.eye(n), gen.standard_normal(n)
+        cplx = random_psd(gen, n) + n * np.eye(n), self.hermitian(gen, n)[:, :3]
+        for a, rhs in (real, cplx):
+            c = lapack.cho_factor(a)
+            c_ref = sla.cho_factor(a, lower=True)
+            assert c.dtype == c_ref[0].dtype and c.tobytes() == c_ref[0].tobytes()
+            x, x_ref = lapack.cho_solve(c, rhs), sla.cho_solve(c_ref, rhs)
+            assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
 
     def test_non_pd_raises_linalg_error(self):
         gen = np.random.default_rng(3)
@@ -142,7 +159,7 @@ class TestDirectLapack:
         with pytest.raises(np.linalg.LinAlgError):
             sdp._max_step(x - 20.0 * np.eye(6), dx)
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._cholesky(-np.eye(6))
+            lapack.cho_factor(-np.eye(6))
 
     def test_non_finite_raises_value_error(self):
         gen = np.random.default_rng(4)
@@ -150,8 +167,8 @@ class TestDirectLapack:
         bad = dx.copy()
         bad[2, 3] = np.nan
         for call in (lambda: sdp._max_step(x, bad), lambda: sdp._max_step(bad, dx),
-                     lambda: sdp._eigh(bad), lambda: sdp._cholesky(np.real(bad)),
-                     lambda: sdp._cho_solve(np.eye(6), np.full(6, np.inf))):
+                     lambda: lapack.eigh(bad), lambda: lapack.cho_factor(np.real(bad)),
+                     lambda: lapack.cho_solve(np.eye(6), np.full(6, np.inf))):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 call()
 
