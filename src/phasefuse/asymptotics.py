@@ -80,26 +80,18 @@ def single_antenna_upper_bound(inputs: AsymptoticInputs) -> float:
 
 
 def bound_ratio(inputs: AsymptoticInputs) -> float:
-    """Ratio of the large-N lower bound to the single-antenna upper bound.
+    """Ratio of the large-N lower bound to the single-antenna upper bound,
+    (sum w)^2 / (N sum w^2) over the gains w = 1/d^a. It equals the moment
+    decomposition 1 - Var{w} / E{w^2} (population moments over the realized
+    d_i).
 
-    Cross-checked internally against the moment decomposition
-    1 - Var{1/d^a} / E{1/d^{2a}} (population moments over the realized d_i).
-
-    The ratio is scale invariant in the gains 1/d^a, so they are normalized
-    by their maximum first; equal distances then give exactly 1.
+    The ratio is scale invariant in the gains, so they are normalized by
+    their maximum first; equal distances then give exactly 1.
     """
     inv_a = inputs.distances ** (-inputs.path_loss_exp)
     w = inv_a / np.max(inv_a)
-    n = inputs.distances.size
     sum_w = float(np.sum(w))
-    sum_w2 = float(np.sum(w * w))
-    ratio = (sum_w * sum_w) / (n * sum_w2)
-
-    mean_w2 = sum_w2 / n
-    var_w = float(np.mean(w * w)) - (sum_w / n) ** 2
-    decomposed = 1.0 - var_w / mean_w2
-    assert abs(ratio - decomposed) <= 1e-12 * max(1.0, abs(ratio))
-    return ratio
+    return (sum_w * sum_w) / (inputs.distances.size * float(np.sum(w * w)))
 
 
 def large_m_variance(inputs: AsymptoticInputs) -> float:

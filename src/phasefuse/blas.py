@@ -6,9 +6,12 @@ sizes its worker pool to the cores. When one pool's threads still spin after
 a call, the other pool's small calls stall behind them (an N = 30 ``eigh``
 took up to 150 ms instead of 0.15 ms on a 2-core machine). The matrices here
 are small (N <= a few hundred), where worker threads save little even
-without that contention. Up to N = 200 the results are bit-identical to a
-threaded run; at N = 800 a threaded eigensolve sums in another order and
-can differ in the last bits. ``single_threaded`` sets the OpenBLAS builds
+without that contention. Threads can change the last bits: on Fisher
+instances with M = 4, ``sdp.solve`` with scipy's OpenBLAS on 2 threads
+returned byte-identical grams at N = 30 (6 instances) but different ones at
+N = 100 (3 of 3) and N = 200 (6 of 6); numpy's OpenBLAS on 2 threads
+changed none. At N = 800 a threaded eigensolve sums in another order and can
+differ in the last bits. ``single_threaded`` sets the OpenBLAS builds
 bundled with numpy and scipy to one thread on the outermost entry and
 restores their counts on the outermost exit, also when the body raises. A
 lock-guarded depth count lets decorated functions call each other and lets

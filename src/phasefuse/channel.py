@@ -120,7 +120,9 @@ def generate_channel(scenario: Scenario, rng: RngStream) -> ChannelRealization:
     m, n = scenario.n_antennas, scenario.n_sensors
     phases = gen.uniform(0.0, TWO_PI, size=(m, n))
     amps = scenario.distances ** (-scenario.path_loss_exp)  # (N,)
-    matrix = amps[np.newaxis, :] * np.exp(1j * phases)
+    matrix = np.multiply(1j, phases)
+    np.exp(matrix, out=matrix)
+    np.multiply(amps[np.newaxis, :], matrix, out=matrix)
     return ChannelRealization(matrix=matrix, phases=phases)
 
 
@@ -128,10 +130,18 @@ def complex_gaussian(gen: np.random.Generator, variances, size) -> np.ndarray:
     """Circularly-symmetric CN(0, diag(variances)) draws of shape ``size``,
     ``variances`` broadcast along the last axis; variance split evenly
     between real and imaginary parts, real parts drawn first."""
-    scale = np.sqrt(np.asarray(variances, dtype=float) / 2.0)
-    # One expression: named locals for the two draws would keep both alive
-    # until return and raise peak memory.
-    return scale * (gen.standard_normal(size) + 1j * gen.standard_normal(size))
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    draws = gen.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = draws[0]
+    out.imag = draws[1]
+    del draws
+    # A complex product, as scale * (x + 1j y): scaling the halves as reals
+    # would give -0.0 where the product gives +0.0 at a zero variance. Peak
+    # memory is the draws plus the result, 32 bytes per sample (tracemalloc,
+    # 20000 x 30 draws).
+    out *= np.sqrt(np.asarray(variances, dtype=float) / 2.0)
+    return out
 
 
 @single_threaded()

@@ -79,15 +79,23 @@ def _parse_strategies(text: str) -> tuple[PhaseStrategy, ...]:
     return tuple(PhaseStrategy(kind.strip()) for kind in text.split(","))
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=_parse_count, default=300)
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--fc-noise", type=float, default=0.1)
     p.add_argument("--dist-range", type=_parse_range, default=(2.0, 7.0))
     p.add_argument("--sensor-noise-range", type=_parse_range, default=(0.001, 0.01))
+
+
+def _add_strategies_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategies", type=_parse_strategies,
                    default=(PhaseStrategy(SDP_RELAXATION), PhaseStrategy(ALL_ONES)))
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=_parse_count, default=300)
+    _add_scenario_flags(p)
+    _add_strategies_flag(p)
     p.add_argument("--resample-per-trial", type=_parse_bool, default=True)
     p.add_argument("--output", default=None, help="destination path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -106,24 +114,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p1 = sub.add_parser("fig1", help="variance vs. number of sensors")
-    _add_common_flags(p1)
+    _add_sweep_flags(p1)
     p1.add_argument("--antennas", type=_parse_count, default=4)
     p1.add_argument("--sensors", type=_parse_count, nargs="+", default=FIG1_SWEEP,
                     help="sweep values for N")
 
     p2 = sub.add_parser("fig2", help="variance vs. number of FC antennas")
-    _add_common_flags(p2)
+    _add_sweep_flags(p2)
     p2.add_argument("--sensors", type=_parse_count, default=4)
     p2.add_argument("--antennas", type=_parse_count, nargs="+", default=FIG2_SWEEP,
                     help="sweep values for M")
 
     pr = sub.add_parser("run", help="single instance, all strategies")
-    _add_common_flags(pr)
+    _add_scenario_flags(pr)
+    _add_strategies_flag(pr)
     pr.add_argument("--sensors", type=_parse_count, required=True)
     pr.add_argument("--antennas", type=_parse_count, required=True)
 
     po = sub.add_parser("oracle", help="SDP vs. exhaustive grid comparison")
-    _add_common_flags(po)
+    _add_scenario_flags(po)
     po.add_argument("--sensors", type=_parse_count, default=3)
     po.add_argument("--antennas", type=_parse_count, default=4)
     po.add_argument("--instances", type=_parse_count, default=20)

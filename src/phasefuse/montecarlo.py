@@ -260,7 +260,11 @@ def verify_unbiasedness(
     v = complex_gaussian(gen, sv, (t, scenario.n_sensors))
     fc = complex_gaussian(gen, scenario.fc_noise_power, (t, scenario.n_antennas))
     ha = h @ a
-    y = scenario.theta * ha[np.newaxis, :] + (a * v) @ h.T + fc
+    # y = (theta * ha + (a * v) @ h.T) + fc, summed in place in that order;
+    # v is not used again, so it takes a * v.
+    y = np.multiply(a, v, out=v) @ h.T
+    y += scenario.theta * ha
+    y += fc
 
     if scenario.fc_noise_power == 0 and np.all(sv == 0):
         g = ha  # noiseless limit: matched filter recovers theta exactly

@@ -79,6 +79,15 @@ class TestBoundRatio:
             expected = large_n_lower_bound(inp) / single_antenna_upper_bound(inp)
             assert bound_ratio(inp) == pytest.approx(expected, rel=1e-12)
 
+    def test_moment_decomposition(self):
+        # ratio = 1 - Var{w} / E{w^2}, population moments of w = 1/d^a
+        gen = np.random.default_rng(3)
+        for _ in range(200):
+            inp = random_inputs(gen)
+            w = inp.distances ** (-inp.path_loss_exp)
+            expected = 1.0 - np.var(w) / np.mean(w * w)
+            assert bound_ratio(inp) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_in_unit_interval(self):
         gen = np.random.default_rng(2)
         for _ in range(100):

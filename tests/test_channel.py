@@ -5,6 +5,7 @@ from phasefuse.channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    complex_gaussian,
     generate_channel,
     sample_scenario,
     synthesize_received_signal,
@@ -20,6 +21,20 @@ def make_scenario(n=4, m=3, alpha=1.0, fc=0.1, d=None, sv=None, theta=1.0 + 0.0j
         n_sensors=n, n_antennas=m, path_loss_exp=alpha, fc_noise_power=fc,
         distances=d, sensor_noise_powers=sv, theta=theta,
     )
+
+
+def reference_complex_gaussian(gen, variances, size):
+    """One-expression form that ``complex_gaussian`` must match bit for bit."""
+    scale = np.sqrt(np.asarray(variances, dtype=float) / 2.0)
+    return scale * (gen.standard_normal(size) + 1j * gen.standard_normal(size))
+
+
+def reference_channel(scenario, rng):
+    """One-expression form that ``generate_channel`` must match bit for bit."""
+    m, n = scenario.n_antennas, scenario.n_sensors
+    phases = rng.generator().uniform(0.0, 2.0 * np.pi, size=(m, n))
+    amps = scenario.distances ** (-scenario.path_loss_exp)
+    return amps[np.newaxis, :] * np.exp(1j * phases), phases
 
 
 class TestSampleScenario:
@@ -96,6 +111,34 @@ class TestGenerateChannel:
         a = generate_channel(scn, RngStream(5, 9))
         b = generate_channel(scn, RngStream(5, 9))
         assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("n", [4, 30])
+    @pytest.mark.parametrize("m", [1, 4, 4000])
+    def test_same_bytes_as_reference(self, m, n):
+        scn = sample_scenario(
+            ScenarioConfig(n_sensors=n, n_antennas=m, path_loss_exp=1.3),
+            RngStream(11, m),
+        )
+        ch = generate_channel(scn, RngStream(12, n))
+        matrix, phases = reference_channel(scn, RngStream(12, n))
+        assert ch.phases.tobytes() == phases.tobytes()
+        assert ch.matrix.dtype == matrix.dtype and ch.matrix.shape == matrix.shape
+        assert ch.matrix.tobytes() == matrix.tobytes()
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("variances,size", [
+        (np.linspace(0.001, 0.01, 7), 7),
+        (np.linspace(0.001, 0.01, 30), (500, 30)),
+        (0.1, (500, 16)),
+        (0.0, (500, 4)),
+        (np.array([0.0, 0.5, 0.0, 2.0]), (500, 4)),
+    ], ids=["int_size", "per_column_2d", "scalar", "zero", "some_zero_columns"])
+    def test_same_bytes_as_reference(self, variances, size):
+        got = complex_gaussian(np.random.default_rng(13), variances, size)
+        ref = reference_complex_gaussian(np.random.default_rng(13), variances, size)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestSynthesize:

@@ -38,6 +38,13 @@ def tiny_result(points=1, strategies=("sdp", "all_ones")):
     return SweepResult(sweep_param=SENSOR_SWEEP, points=pts, config=cfg)
 
 
+# Flags of the sweeps that neither ``run`` nor ``oracle`` accepts.
+SWEEP_ONLY_FLAGS = [
+    ("--trials", "2"), ("--resample-per-trial", "false"), ("--output", "x.csv"),
+    ("--format", "json"), ("--emit-plot-script", "plot.py"),
+]
+
+
 class TestParser:
     def test_fig1_defaults(self):
         args = build_parser().parse_args(["fig1"])
@@ -69,6 +76,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand,flag,value", [
+        (subcommand, flag, value)
+        for subcommand in ("run", "oracle") for flag, value in SWEEP_ONLY_FLAGS
+    ] + [("oracle", "--strategies", "sdp")])
+    def test_flag_not_taken_exits_2(self, subcommand, flag, value):
+        counts = ["--sensors", "2", "--antennas", "2"] if subcommand == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *counts, flag, value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", ["fig1", "fig2"])
+    @pytest.mark.parametrize("flag,value", SWEEP_ONLY_FLAGS + [("--strategies", "sdp")])
+    def test_sweep_flags_accepted_by_sweeps(self, subcommand, flag, value):
+        build_parser().parse_args([subcommand, flag, value])
 
 
 class TestCsv:

@@ -1,18 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from phasefuse import lapack
 from phasefuse.channel import (
+    Scenario,
     ScenarioConfig,
     generate_channel,
     sample_scenario,
 )
 from phasefuse import sdp as sdp_module
 from phasefuse.errors import ConfigurationError, ConvergenceError
+from phasefuse.estimator import noise_covariance
 from phasefuse.montecarlo import (
     ANTENNA_SWEEP,
     SENSOR_SWEEP,
     ConcentrationConfig,
     ExperimentConfig,
+    UnbiasednessReport,
     run_sweep,
     verify_diagonal_concentration,
     verify_unbiasedness,
@@ -133,6 +139,40 @@ class TestRunSweep:
         assert r_m.points[0].eq11 is None
 
 
+def reference_verify_unbiasedness(scenario, channel, a, trials, rng):
+    """The one-expression synthesis that ``verify_unbiasedness`` must match
+    bit for bit, with noise drawn as ``scale * (x + 1j y)``."""
+    def noise(gen, variances, size):
+        scale = np.sqrt(np.asarray(variances, dtype=float) / 2.0)
+        return scale * (gen.standard_normal(size) + 1j * gen.standard_normal(size))
+
+    a = np.asarray(a, dtype=complex)
+    h = channel.matrix
+    gen = rng.generator()
+    t = int(trials)
+    sv = scenario.sensor_noise_powers
+    v = noise(gen, sv, (t, scenario.n_sensors))
+    fc = noise(gen, scenario.fc_noise_power, (t, scenario.n_antennas))
+    ha = h @ a
+    y = scenario.theta * ha[np.newaxis, :] + (a * v) @ h.T + fc
+    if scenario.fc_noise_power == 0 and np.all(sv == 0):
+        g = ha
+    else:
+        g = lapack.cho_solve(lapack.cho_factor(noise_covariance(channel, scenario)), ha)
+    q = float(np.real(np.vdot(ha, g)))
+    estimates = (y @ g.conj()) / q
+    mean = complex(np.mean(estimates))
+    err = estimates - mean
+    sample_var = float(np.sum(np.abs(err) ** 2) / max(t - 1, 1))
+    predicted = 1.0 / q if q > 0 else 0.0
+    std_of_mean = np.sqrt(predicted / t) if predicted > 0 else np.finfo(float).tiny
+    z = abs(mean - scenario.theta) / std_of_mean
+    return UnbiasednessReport(
+        trials=t, sample_mean=mean, sample_variance=sample_var,
+        predicted_variance=predicted, mean_z_score=float(z),
+    )
+
+
 class TestVerifyUnbiasedness:
     def _instance(self, n=4, m=4, seed=0):
         cfg = ScenarioConfig(n_sensors=n, n_antennas=m)
@@ -141,7 +181,6 @@ class TestVerifyUnbiasedness:
         return scn, ch
 
     def test_zero_noise(self):
-        from phasefuse.channel import Scenario
         scn = Scenario(n_sensors=3, n_antennas=2, path_loss_exp=1.0,
                        fc_noise_power=0.0, distances=np.full(3, 2.0),
                        sensor_noise_powers=np.zeros(3), theta=0.7 + 0.2j)
@@ -164,11 +203,27 @@ class TestVerifyUnbiasedness:
     def test_theta_invariance_of_prediction(self):
         # predicted variance never depends on theta
         scn, ch = self._instance()
-        import dataclasses
         scn2 = dataclasses.replace(scn, theta=5.0 - 3.0j)
         r1 = verify_unbiasedness(scn, ch, np.ones(4), 100, RngStream(8, 0))
         r2 = verify_unbiasedness(scn2, ch, np.ones(4), 100, RngStream(8, 0))
         assert r1.predicted_variance == r2.predicted_variance
+
+
+    @pytest.mark.parametrize("n,m,trials,noiseless", [
+        (4, 4, 1000, False), (30, 16, 2000, False), (3, 1, 1, False), (3, 2, 1000, True),
+    ])
+    def test_same_bytes_as_reference(self, n, m, trials, noiseless):
+        scn, ch = self._instance(n=n, m=m, seed=n)
+        scn = dataclasses.replace(scn, theta=0.8 - 0.6j)
+        if noiseless:
+            scn = dataclasses.replace(scn, fc_noise_power=0.0,
+                                      sensor_noise_powers=np.zeros(n))
+        a = np.exp(1j * np.linspace(0.0, 3.0, n))
+        got = verify_unbiasedness(scn, ch, a, trials, RngStream(9, m))
+        ref = reference_verify_unbiasedness(scn, ch, a, trials, RngStream(9, m))
+        for field in dataclasses.fields(UnbiasednessReport):
+            assert np.asarray(getattr(got, field.name)).tobytes() \
+                == np.asarray(getattr(ref, field.name)).tobytes(), field.name
 
 
 class TestConcentration:
