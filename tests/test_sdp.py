@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
-from phasefuse.errors import ConfigurationError
+from phasefuse.errors import ConfigurationError, ConvergenceError
 from phasefuse.estimator import fisher_matrix
 from phasefuse.rng import RngStream
 from phasefuse import lapack, sdp
@@ -73,6 +73,17 @@ class TestSolve:
         assert sol.duality_gap <= 1e-9 * max(1.0, abs(sol.objective_value))
         assert sol.diag_residual <= 1e-8
         assert sol.min_eigenvalue >= -1e-8
+
+    def test_nan_gap_fails_certificate(self, monkeypatch):
+        # A NaN lambda_max(B) makes the starting dual slack, hence every gap,
+        # NaN; with no iterations the final gap is NaN and must not pass.
+        problem = SdpProblem(random_psd(np.random.default_rng(3), 4))
+        eigvalsh = lapack.eigvalsh
+        monkeypatch.setattr(lapack, "eigvalsh", lambda a: np.full(len(a), np.nan)
+                            if a is problem.objective else eigvalsh(a))
+        with pytest.raises(ConvergenceError) as err:
+            solve(problem, max_iter=0)
+        assert np.isnan(err.value.best_solution.duality_gap)
 
     def test_n1(self):
         sol = solve(SdpProblem(objective=np.array([[2.5]])))
