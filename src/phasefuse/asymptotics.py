@@ -48,13 +48,13 @@ class AsymptoticInputs:
             raise ConfigurationError("path_loss_exp must be >= 0, n_antennas >= 1")
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, n_antennas: int | None = None) -> "AsymptoticInputs":
+    def from_scenario(cls, scenario: Scenario) -> "AsymptoticInputs":
         return cls(
             distances=scenario.distances,
             sensor_noise_powers=scenario.sensor_noise_powers,
             fc_noise_power=scenario.fc_noise_power,
             path_loss_exp=scenario.path_loss_exp,
-            n_antennas=scenario.n_antennas if n_antennas is None else n_antennas,
+            n_antennas=scenario.n_antennas,
         )
 
 

@@ -9,7 +9,7 @@ Subcommands:
   selftest  quick closed-form / identity / sandwich checks
 
 Exit status: 0 success, 1 runtime or I/O failure, 2 usage error (including
-a count below 1).
+a count below 1, an unknown strategy and a plot script for JSON output).
 """
 
 from __future__ import annotations
@@ -18,23 +18,24 @@ import argparse
 import functools
 import json
 import sys
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import ScenarioConfig, generate_channel, sample_scenario
-from .errors import PhasefuseError
+from .errors import ConfigurationError, PhasefuseError
 from .estimator import fisher_matrix
 from .montecarlo import (
     ANTENNA_SWEEP,
+    DEFAULT_STRATEGIES,
     SENSOR_SWEEP,
     ExperimentConfig,
     SweepResult,
     run_sweep,
 )
 from .phase_opt import (
-    ALL_ONES,
     CLOSED_FORM_N2,
-    GRID_ORACLE,
     SDP_RELAXATION,
     PhaseStrategy,
     grid_search,
@@ -43,10 +44,29 @@ from .phase_opt import (
 )
 from .rng import RngStream
 
-CSV_HEADER = (
-    "sweep_param,value,strategy,mean_variance,std_err,"
-    "lower_bound_mean,eq11,eq12,eq17,trials,failures"
+
+def _float_cell(x) -> str:
+    return "" if x is None else repr(float(x))
+
+
+# The output schema: each column's name, in order, where its value comes
+# from in the row of one (point, strategy) pair, and its CSV cell. Floats
+# are written with repr so they round-trip bit-exactly, None as an empty
+# cell. CSV_HEADER, the CSV rows and the JSON keys all derive from it.
+COLUMNS = (
+    ("sweep_param", attrgetter("result.sweep_param"), str),
+    ("value", attrgetter("point.sweep_value"), str),
+    ("strategy", attrgetter("strategy"), str),
+    ("mean_variance", attrgetter("stats.mean_variance"), _float_cell),
+    ("std_err", attrgetter("stats.std_err"), _float_cell),
+    ("lower_bound_mean", attrgetter("point.lower_bound_mean"), _float_cell),
+    ("eq11", attrgetter("point.eq11"), _float_cell),
+    ("eq12", attrgetter("point.eq12"), _float_cell),
+    ("eq17", attrgetter("point.eq17"), _float_cell),
+    ("trials", attrgetter("point.trials"), str),
+    ("failures", attrgetter("stats.failures"), str),
 )
+CSV_HEADER = ",".join(name for name, _, _ in COLUMNS)
 
 FIG1_SWEEP = tuple(range(2, 31, 2))
 FIG2_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -76,7 +96,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_strategies(text: str) -> tuple[PhaseStrategy, ...]:
-    return tuple(PhaseStrategy(kind.strip()) for kind in text.split(","))
+    try:
+        return tuple(PhaseStrategy(kind.strip()) for kind in text.split(","))
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -87,12 +110,18 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sensor-noise-range", type=_parse_range, default=(0.001, 0.01))
 
 
+def _scenario_fields(args) -> dict:
+    """The config fields the scenario flags set, by field name; both
+    ``ScenarioConfig`` and ``ExperimentConfig`` take them."""
+    return dict(path_loss_exp=args.alpha, fc_noise_power=args.fc_noise,
+                distance_range=args.dist_range, sensor_noise_range=args.sensor_noise_range)
+
+
 def _add_strategies_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategies", type=_parse_strategies,
-                   default=(PhaseStrategy(SDP_RELAXATION), PhaseStrategy(ALL_ONES)))
+    p.add_argument("--strategies", type=_parse_strategies, default=DEFAULT_STRATEGIES)
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+def _add_sweep_flags(p: argparse.ArgumentParser, sweep: str) -> None:
     p.add_argument("--trials", type=_parse_count, default=300)
     _add_scenario_flags(p)
     _add_strategies_flag(p)
@@ -100,13 +129,15 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="destination path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--emit-plot-script", default=None)
+    p.set_defaults(handler=functools.partial(_cmd_sweep, sweep=sweep, usage_error=p.error))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``phasefuse`` parser, built once per process and shared by every
     ``main`` call: parsing leaves no state in it, and its defaults are
-    immutable."""
+    immutable. Each subcommand's ``handler`` default is the function that
+    runs it."""
     parser = argparse.ArgumentParser(
         prog="phasefuse",
         description="Phase-only analog encoding simulator for multi-antenna fusion",
@@ -114,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p1 = sub.add_parser("fig1", help="variance vs. number of sensors")
-    _add_sweep_flags(p1)
+    _add_sweep_flags(p1, SENSOR_SWEEP)
     p1.add_argument("--antennas", type=_parse_count, default=4)
     p1.add_argument("--sensors", type=_parse_count, nargs="+", default=FIG1_SWEEP,
                     help="sweep values for N")
 
     p2 = sub.add_parser("fig2", help="variance vs. number of FC antennas")
-    _add_sweep_flags(p2)
+    _add_sweep_flags(p2, ANTENNA_SWEEP)
     p2.add_argument("--sensors", type=_parse_count, default=4)
     p2.add_argument("--antennas", type=_parse_count, nargs="+", default=FIG2_SWEEP,
                     help="sweep values for M")
@@ -130,66 +161,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategies_flag(pr)
     pr.add_argument("--sensors", type=_parse_count, required=True)
     pr.add_argument("--antennas", type=_parse_count, required=True)
+    pr.set_defaults(handler=_cmd_run)
 
     po = sub.add_parser("oracle", help="SDP vs. exhaustive grid comparison")
     _add_scenario_flags(po)
     po.add_argument("--sensors", type=_parse_count, default=3)
     po.add_argument("--antennas", type=_parse_count, default=4)
     po.add_argument("--instances", type=_parse_count, default=20)
+    po.set_defaults(handler=_cmd_oracle)
 
-    sub.add_parser("selftest", help="closed-form, identity and sandwich checks")
+    ps = sub.add_parser("selftest", help="closed-form, identity and sandwich checks")
+    ps.set_defaults(handler=_cmd_selftest)
     return parser
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
 def result_rows(result: SweepResult) -> list[dict]:
-    """Flatten a SweepResult into one record per (point, strategy)."""
-    rows = []
-    for point in result.points:
-        for label, stats in point.strategy_stats.items():
-            rows.append(
-                {
-                    "sweep_param": result.sweep_param,
-                    "value": point.sweep_value,
-                    "strategy": label,
-                    "mean_variance": stats.mean_variance,
-                    "std_err": stats.std_err,
-                    "lower_bound_mean": point.lower_bound_mean,
-                    "eq11": point.eq11,
-                    "eq12": point.eq12,
-                    "eq17": point.eq17,
-                    "trials": point.trials,
-                    "failures": stats.failures,
-                }
-            )
-    return rows
+    """Flatten a SweepResult into one record per (point, strategy), keyed as COLUMNS."""
+    return [
+        {name: value(row) for name, value, _ in COLUMNS}
+        for row in (
+            SimpleNamespace(result=result, point=point, strategy=label, stats=stats)
+            for point in result.points
+            for label, stats in point.strategy_stats.items()
+        )
+    ]
 
 
 def render_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for r in result_rows(result):
-        lines.append(
-            ",".join(
-                [
-                    r["sweep_param"],
-                    str(r["value"]),
-                    r["strategy"],
-                    _fmt(r["mean_variance"]),
-                    _fmt(r["std_err"]),
-                    _fmt(r["lower_bound_mean"]),
-                    _fmt(r["eq11"]),
-                    _fmt(r["eq12"]),
-                    _fmt(r["eq17"]),
-                    str(r["trials"]),
-                    str(r["failures"]),
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [
+        ",".join(cell(row[name]) for name, _, cell in COLUMNS)
+        for row in result_rows(result)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -197,14 +199,18 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(result_rows(result), indent=2) + "\n"
 
 
-def write_csv(result: SweepResult, destination) -> None:
-    """Write the sweep as CSV (LF newlines, full double precision)."""
-    text = render_csv(result)
+def _write_text(text: str, destination: str | None) -> None:
+    """Write text to stdout if destination is None, else to that file (LF newlines)."""
     if destination is None:
         sys.stdout.write(text)
     else:
         with open(destination, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def write_csv(result: SweepResult, destination) -> None:
+    """Write the sweep as CSV (LF newlines, full double precision)."""
+    _write_text(render_csv(result), destination)
 
 
 PLOT_TEMPLATE = """\
@@ -253,11 +259,9 @@ def emit_plot_script(result: SweepResult, path: str, csv_path: str | None) -> No
     # figure name derives from the CSV, so the script bytes depend only on
     # the result contents, not on where the script itself is written
     png_name = csv_name.rsplit(".", 1)[0] + ".png"
-    text = PLOT_TEMPLATE.format(
-        csv_path=csv_name, xlabel=xlabel, png_path=png_name
+    _write_text(
+        PLOT_TEMPLATE.format(csv_path=csv_name, xlabel=xlabel, png_path=png_name), path
     )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _sweep_config(args, sweep: str) -> ExperimentConfig:
@@ -266,56 +270,38 @@ def _sweep_config(args, sweep: str) -> ExperimentConfig:
     else:
         values, fixed = tuple(args.antennas), args.sensors
     return ExperimentConfig(
-        sweep=sweep,
-        sweep_values=values,
-        fixed_count=fixed,
-        trials=args.trials,
-        master_seed=args.seed,
-        strategies=args.strategies,
-        path_loss_exp=args.alpha,
-        fc_noise_power=args.fc_noise,
-        distance_range=args.dist_range,
-        sensor_noise_range=args.sensor_noise_range,
-        resample_scenario_per_trial=args.resample_per_trial,
+        sweep=sweep, sweep_values=values, fixed_count=fixed, trials=args.trials,
+        master_seed=args.seed, strategies=args.strategies,
+        resample_scenario_per_trial=args.resample_per_trial, **_scenario_fields(args),
     )
 
 
-def _emit(result: SweepResult, args) -> None:
+def _cmd_sweep(args, sweep: str, usage_error) -> int:
+    if args.format == "json" and args.emit_plot_script:
+        # The plot script reads its data with csv.DictReader.
+        usage_error("--emit-plot-script needs --format csv")
+    result = run_sweep(_sweep_config(args, sweep))
     if args.format == "json":
-        text = render_json(result)
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", newline="\n") as fh:
-                fh.write(text)
+        _write_text(render_json(result), args.output)
     else:
         write_csv(result, args.output)
     if args.emit_plot_script:
         emit_plot_script(result, args.emit_plot_script, args.output)
-
-
-def _cmd_sweep(args, sweep: str) -> int:
-    result = run_sweep(_sweep_config(args, sweep))
-    _emit(result, args)
     return 0
 
 
-def _scenario_config(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        n_sensors=args.sensors,
-        n_antennas=args.antennas,
-        path_loss_exp=args.alpha,
-        fc_noise_power=args.fc_noise,
-        distance_range=args.dist_range,
-        sensor_noise_range=args.sensor_noise_range,
-    )
+def _sample_instance(args, k: int) -> tuple[np.ndarray, RngStream]:
+    """The Fisher matrix B of instance k of ``run`` or ``oracle``, and its
+    stream (seed, k): child 0 draws the scenario and child 1 the channel."""
+    stream = RngStream(args.seed, k)
+    config = ScenarioConfig(n_sensors=args.sensors, n_antennas=args.antennas,
+                            **_scenario_fields(args))
+    scenario = sample_scenario(config, stream.child(0))
+    return fisher_matrix(generate_channel(scenario, stream.child(1)), scenario), stream
 
 
 def _cmd_run(args) -> int:
-    stream = RngStream(args.seed, 0)
-    scenario = sample_scenario(_scenario_config(args), stream.child(0))
-    channel = generate_channel(scenario, stream.child(1))
-    b = fisher_matrix(channel, scenario)
+    b, stream = _sample_instance(args, 0)
     print(f"instance: N={args.sensors} M={args.antennas} seed={args.seed}")
     kinds = [s.kind for s in args.strategies]
     if CLOSED_FORM_N2 not in kinds and args.sensors == 2:
@@ -335,13 +321,9 @@ def _cmd_oracle(args) -> int:
     print(f"SDP vs. grid oracle, N={args.sensors}, M={args.antennas}, "
           f"{args.instances} instances")
     print(f"{'instance':>8} {'sdp_var':>14} {'grid_var':>14} {'ratio':>8}")
-    config = _scenario_config(args)
     worst = 0.0
     for k in range(args.instances):
-        stream = RngStream(args.seed, k)
-        scenario = sample_scenario(config, stream.child(0))
-        channel = generate_channel(scenario, stream.child(1))
-        b = fisher_matrix(channel, scenario)
+        b, stream = _sample_instance(args, k)
         report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), stream.child(2))
         _, grid_val = grid_search(b)
         grid_var = 1.0 / grid_val
@@ -404,24 +386,12 @@ def _cmd_selftest(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "fig1":
-            return _cmd_sweep(args, SENSOR_SWEEP)
-        if args.subcommand == "fig2":
-            return _cmd_sweep(args, ANTENNA_SWEEP)
-        if args.subcommand == "run":
-            return _cmd_run(args)
-        if args.subcommand == "oracle":
-            return _cmd_oracle(args)
-        if args.subcommand == "selftest":
-            return _cmd_selftest(args)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        return args.handler(args)
     except (PhasefuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

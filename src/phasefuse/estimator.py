@@ -104,10 +104,10 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @single_threaded()
-def variance_lower_bound(b: np.ndarray, n_sensors: int | None = None) -> float:
-    """Lower bound 1 / (N lambda_max(B)) on the achievable variance."""
-    n = b.shape[0] if n_sensors is None else n_sensors
+def variance_lower_bound(b: np.ndarray) -> float:
+    """Lower bound 1 / (N lambda_max(B)) on the achievable variance, N the
+    order of B."""
     lam_max = float(np.max(lapack.eigvalsh(b)))
     if lam_max <= _degeneracy_floor(b):
         raise DegenerateInstanceError("lambda_max(B) is degenerate")
-    return 1.0 / (n * lam_max)
+    return 1.0 / (b.shape[0] * lam_max)

@@ -25,7 +25,12 @@ from .channel import (
     sample_scenario,
 )
 from .errors import ConfigurationError, ConvergenceError
-from .estimator import fisher_matrix, noise_covariance, variance_lower_bound
+from .estimator import (
+    estimator_variance,
+    fisher_matrix,
+    noise_covariance,
+    variance_lower_bound,
+)
 from .phase_opt import (
     ALL_ONES,
     SDP_RELAXATION,
@@ -89,7 +94,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise ConfigurationError("at least one strategy is required")
         # Results are keyed by label, so a repeat would overwrite its twin.
-        labels = [s.label for s in self.strategies]
+        labels = [s.kind for s in self.strategies]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"strategies must not repeat, got {labels}")
 
@@ -147,7 +152,7 @@ def _run_trial(
     scenario = fixed_scenario or sample_scenario(scn_config, stream.child(0))
     channel = generate_channel(scenario, stream.child(1))
     b = fisher_matrix(channel, scenario)
-    lb = variance_lower_bound(b, scenario.n_sensors)
+    lb = variance_lower_bound(b)
 
     variances: dict[str, float] = {}
     relaxation_bounds: dict[str, float | None] = {}
@@ -155,18 +160,15 @@ def _run_trial(
     for k, strategy in enumerate(config.strategies):
         try:
             report = optimize_phases(b, strategy, stream.child(2 + k))
-            variances[strategy.label] = report.achieved_variance
+            variances[strategy.kind] = report.achieved_variance
             relax = report.relaxation_value
-            relaxation_bounds[strategy.label] = None if relax is None else 1.0 / relax
-            failed[strategy.label] = False
+            relaxation_bounds[strategy.kind] = None if relax is None else 1.0 / relax
+            failed[strategy.kind] = False
         except ConvergenceError:
             # Never drop a trial: fall back to leading-eigenvector rounding.
-            a = eigenvector_rounding(b)
-            variances[strategy.label] = float(
-                1.0 / np.real(np.vdot(a, b @ a))
-            )
-            relaxation_bounds[strategy.label] = None
-            failed[strategy.label] = True
+            variances[strategy.kind] = estimator_variance(eigenvector_rounding(b), b)
+            relaxation_bounds[strategy.kind] = None
+            failed[strategy.kind] = True
 
     inputs = asymptotics.AsymptoticInputs.from_scenario(scenario)
     return _TrialOutcome(
@@ -200,7 +202,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         stats: dict[str, StrategyStats] = {}
         degraded = False
         for strategy in config.strategies:
-            label = strategy.label
+            label = strategy.kind
             vals = np.array([o.variances[label] for o in outcomes])
             fails = sum(o.failed[label] for o in outcomes)
             se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -261,6 +263,8 @@ def verify_unbiasedness(
     h = channel.matrix
     gen = rng.generator()
     t = int(trials)
+    if t < 1:
+        raise ConfigurationError("trials must be >= 1")
 
     sv = scenario.sensor_noise_powers
     ha = h @ a

@@ -44,10 +44,6 @@ class PhaseStrategy:
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
 
 @dataclass
 class OptimizationReport:
@@ -116,7 +112,7 @@ def optimize_phases(
     """Select a phase vector for Fisher matrix B under the given strategy."""
     b = np.asarray(b)
     n = b.shape[0]
-    lower = variance_lower_bound(b, n)
+    lower = variance_lower_bound(b)
     relaxation_value = None
 
     if strategy.kind == CLOSED_FORM_N2:

@@ -265,7 +265,7 @@ def _eigenvalue_bound_gap(n):
     lbs, eq11s = [], []
     for t in range(100):
         b, scn, _, _ = channel_fisher(n, 4, seed=800, stream_index=t)
-        lbs.append(variance_lower_bound(b, n))
+        lbs.append(variance_lower_bound(b))
         eq11s.append(large_n_lower_bound(AsymptoticInputs.from_scenario(scn)))
     return abs(np.mean(lbs) - np.mean(eq11s)) / np.mean(eq11s)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from phasefuse import cli
 from phasefuse.cli import (
     CSV_HEADER,
     build_parser,
@@ -157,6 +159,63 @@ class TestPlotScript:
         assert "results.csv" in text
 
 
+class TestGoldenOutput:
+    """Every byte of the three renderings of ``tiny_result``, with a full
+    precision double and an empty (None) eq17 cell."""
+
+    @staticmethod
+    def _result():
+        res = tiny_result()
+        res.points[0].strategy_stats["sdp"].mean_variance = 1.0 / 3.0
+        res.points[0].lower_bound_mean = np.pi / 59.0
+        return res
+
+    def test_csv(self):
+        assert render_csv(self._result()) == (
+            "sweep_param,value,strategy,mean_variance,std_err,lower_bound_mean,"
+            "eq11,eq12,eq17,trials,failures\n"
+            "sensors,2,sdp,0.3333333333333333,0.01,0.05324733311169141,0.06,0.07,,3,0\n"
+            "sensors,2,all_ones,0.05,0.01,0.05324733311169141,0.06,0.07,,3,0\n"
+        )
+
+    def test_json(self):
+        row = (
+            '  {{\n'
+            '    "sweep_param": "sensors",\n'
+            '    "value": 2,\n'
+            '    "strategy": "{}",\n'
+            '    "mean_variance": {},\n'
+            '    "std_err": 0.01,\n'
+            '    "lower_bound_mean": 0.05324733311169141,\n'
+            '    "eq11": 0.06,\n'
+            '    "eq12": 0.07,\n'
+            '    "eq17": null,\n'
+            '    "trials": 3,\n'
+            '    "failures": 0\n'
+            '  }}'
+        )
+        assert render_json(self._result()) == (
+            "[\n" + row.format("sdp", "0.3333333333333333") + ",\n"
+            + row.format("all_ones", "0.05") + "\n]\n"
+        )
+
+    @pytest.mark.parametrize("csv_path,png_path,sha256", [
+        ("out/fig1.csv", "out/fig1.png",
+         "1905440a16cc9bfd8bafee2ea35b44f1c1217441cfcaae01c0adaaa309c598ef"),
+        (None, "results.png",
+         "93ffa53456e6775f955bf8c09786940d4e3bffb6f99b6906ee64c444d1bf7a85"),
+    ])
+    def test_plot_script(self, tmp_path, csv_path, png_path, sha256):
+        path = tmp_path / "plot.py"
+        emit_plot_script(self._result(), str(path), csv_path)
+        raw = path.read_bytes()
+        text = raw.decode()
+        assert f"CSV_PATH = {csv_path or 'results.csv'!r}\n" in text
+        assert "ax.set_xlabel('number of sensors N')\n" in text
+        assert f"fig.savefig({png_path!r}, dpi=150)\n" in text
+        assert hashlib.sha256(raw).hexdigest() == sha256
+
+
 class TestCommands:
     def test_run_subcommand(self, capsys):
         rc = main(["run", "--sensors", "2", "--antennas", "3", "--seed", "7"])
@@ -234,6 +293,32 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", [
+        ["fig1", "--sensors", "2", "--trials", "1"],
+        ["run", "--sensors", "2", "--antennas", "2"],
+    ], ids=["fig1", "run"])
+    @pytest.mark.parametrize("strategies,kind", [("sdp,bogus", "bogus"), ("sdp,", "")],
+                             ids=["unknown", "empty"])
+    def test_unknown_strategy_exits_2(self, subcommand, strategies, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(subcommand + ["--strategies", strategies])
+        assert exc.value.code == 2
+        assert f"unknown strategy kind {kind!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["fig1", "fig2"])
+    def test_plot_script_for_json_exits_2(self, subcommand, tmp_path, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out, plot = tmp_path / "r.json", tmp_path / "p.py"
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--format", "json", "--output", str(out),
+                  "--emit-plot-script", str(plot)])
+        assert exc.value.code == 2
+        assert "--emit-plot-script needs --format csv" in capsys.readouterr().err
+        assert not out.exists() and not plot.exists()
 
     def test_oracle_beyond_grid_limit_exits_1(self, capsys):
         assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1

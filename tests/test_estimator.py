@@ -104,8 +104,8 @@ class TestFisherMatrix:
         a = np.exp(1j * gen.uniform(0, 2 * np.pi, 4))
         assert estimator_variance(a, bt) == pytest.approx(
             t * estimator_variance(a, b), rel=1e-12)
-        assert variance_lower_bound(bt, 4) == pytest.approx(
-            t * variance_lower_bound(b, 4), rel=1e-12)
+        assert variance_lower_bound(bt) == pytest.approx(
+            t * variance_lower_bound(b), rel=1e-12)
 
 
 class TestMlEstimate:
@@ -159,10 +159,10 @@ class TestEstimatorVariance:
 
 class TestVarianceLowerBound:
     def test_diag(self):
-        assert variance_lower_bound(np.diag([2.0, 1.0]), 2) == pytest.approx(0.25)
+        assert variance_lower_bound(np.diag([2.0, 1.0])) == pytest.approx(0.25)
 
     def test_pi3_tight(self):
-        lb = variance_lower_bound(PI3_B, 2)
+        lb = variance_lower_bound(PI3_B)
         assert lb == pytest.approx(1.0 / 3.0, rel=1e-12)
         a = np.array([np.exp(1j * np.pi / 3), 1.0])
         assert estimator_variance(a, PI3_B) == pytest.approx(lb, rel=1e-12)
@@ -171,11 +171,11 @@ class TestVarianceLowerBound:
         gen = np.random.default_rng(6)
         g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
         b = g @ g.conj().T
-        lb = variance_lower_bound(b, 4)
+        lb = variance_lower_bound(b)
         for _ in range(1000):
             a = np.exp(1j * gen.uniform(0, 2 * np.pi, 4))
             assert lb <= estimator_variance(a, b) + 1e-12
 
     def test_zero_b_degenerate(self):
         with pytest.raises(DegenerateInstanceError):
-            variance_lower_bound(np.zeros((3, 3)), 3)
+            variance_lower_bound(np.zeros((3, 3)))

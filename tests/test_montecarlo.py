@@ -202,6 +202,12 @@ class TestVerifyUnbiasedness:
         assert rep.sample_variance == pytest.approx(rep.predicted_variance,
                                                     rel=0.10)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        scn, ch = self._instance()
+        with pytest.raises(ConfigurationError, match="trials must be >= 1"):
+            verify_unbiasedness(scn, ch, np.ones(4), trials, RngStream(8, 0))
+
     def test_theta_invariance_of_prediction(self):
         # predicted variance never depends on theta
         scn, ch = self._instance()
