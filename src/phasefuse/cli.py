@@ -9,7 +9,8 @@ Subcommands:
   selftest  quick closed-form / identity / sandwich checks
 
 Exit status: 0 success, 1 runtime or I/O failure, 2 usage error (including
-a count below 1, an unknown strategy and a plot script for JSON output).
+a count below 1, an unknown strategy and a plot script for JSON output or
+without --output).
 """
 
 from __future__ import annotations
@@ -280,6 +281,9 @@ def _cmd_sweep(args, sweep: str, usage_error) -> int:
     if args.format == "json" and args.emit_plot_script:
         # The plot script reads its data with csv.DictReader.
         usage_error("--emit-plot-script needs --format csv")
+    if args.emit_plot_script and args.output is None:
+        # Without --output the CSV goes to stdout, not to a file to read.
+        usage_error("--emit-plot-script needs --output")
     result = run_sweep(_sweep_config(args, sweep))
     if args.format == "json":
         _write_text(render_json(result), args.output)

@@ -19,7 +19,8 @@ one of these two), the same arguments and the same workspace size, so the
 results are bit-identical. Workspace queries are cached per routine and
 order N: at N <= a few hundred ``scipy.linalg``'s per-call wrapper
 (validation, a fresh workspace query, batching) cost about as much as LAPACK
-itself. scipy's checks are kept: a NaN or inf raises ``ValueError``, a matrix
+itself. scipy's checks are kept: a NaN or inf raises ``ValueError`` (here its
+subclass ``NonFiniteError``, so callers can catch that case alone), a matrix
 that is not positive definite or an eigensolver failure raises
 ``numpy.linalg.LinAlgError``, and ``solve_pos`` warns with ``LinAlgWarning``
 when its matrix is ill-conditioned.
@@ -77,10 +78,14 @@ def _kind(a: np.ndarray, b: np.ndarray | None = None) -> str:
     return "z" if complex_ else "d"
 
 
+class NonFiniteError(ValueError):
+    """An input array holds a NaN or an inf."""
+
+
 def _check_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+            raise NonFiniteError("array must not contain infs or NaNs")
 
 
 def _workspace(sizes) -> tuple[int, ...]:

@@ -24,6 +24,20 @@ and a workspace query cached per N; the results are bit-identical.
 
 The stopping test is ``gap <= gap_tol * max(1, |tr(B A)|)``: relative to the
 objective when it exceeds 1, absolute below that.
+
+Before the IPM, ``solve`` tries to certify a rank-one optimum ``a a^H``. The
+candidate ``a`` is the phase of B's leading eigenvector, improved by
+generalized power steps ``a <- phase((B + cI) a)``, ``c = max(0,
+-lambda_min(B))``. With ``y_i = Re(conj(a_i) (B a)_i)``, the dual point
+``y + max(0, -lambda_min(Diag(y) - B)) e`` is feasible, so its total bounds
+the relaxation from above for any ``a`` (weak duality). When that bound is
+within the stopping test of ``a^H B a``, ``a a^H`` is optimal and is returned,
+with ``iterations`` counting the power steps taken (at least one). This
+always happens for M = 1 (B of rank one) and for most small-N Fisher
+instances. Any other instance runs the IPM with the
+same bits as without the attempt: the IPM starts from its own
+``eigvalsh(B)``, not from the certificate's ``eigh(B)``, whose eigenvalues
+can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -44,6 +58,10 @@ DEFAULT_GAP_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
 EIG_CLIP_REL = 1e-12
 STEP_FRACTION = 0.98
+# The rank-one certificate's power iteration stops once a step raises
+# a^H B a by at most POWER_REL_GAIN relative, or after POWER_MAX_STEPS steps.
+POWER_MAX_STEPS = 100
+POWER_REL_GAIN = 1e-15
 
 
 @dataclass(frozen=True)
@@ -77,7 +95,7 @@ class SdpSolution:
     duality_gap: float        # e^T y - tr(B A*) = <A*, Z> >= 0
     diag_residual: float      # max_i |A*_{ii} - 1|
     min_eigenvalue: float     # smallest eigenvalue of A*
-    iterations: int
+    iterations: int           # IPM iterations, or power steps of a certified a a^H
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -114,36 +132,48 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-@single_threaded()
-def solve(
-    problem: SdpProblem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
-    """Solve the unit-diagonal SDP relaxation to the requested duality gap.
+def _solution(x: np.ndarray, objective: float, gap: float, iterations: int) -> SdpSolution:
+    return SdpSolution(
+        gram=x,
+        objective_value=objective,
+        duality_gap=max(gap, 0.0),
+        diag_residual=float(np.max(np.abs(np.real(np.diag(x)) - 1.0))),
+        min_eigenvalue=float(np.min(lapack.eigvalsh(x))),
+        iterations=iterations,
+    )
 
-    Stops once the duality gap is at most ``gap_tol * max(1, |tr(B A)|)``,
-    which is absolute, not relative, for objectives below 1. Also stops when
-    the step length can no longer be computed (an iterate lost numerical
-    definiteness), or after ``max_iter`` iterations. Raises ConvergenceError
-    (carrying the best iterate) if the gap then exceeds
-    ``1e-7 * max(1, |tr(B A)|)``.
-    """
-    b = problem.objective
-    n = problem.dimension
+
+def _rank_one_certificate(b: np.ndarray, gap_tol: float) -> SdpSolution | None:
+    """A rank-one optimum ``a a^H`` certified by the dual bound described in
+    the module docstring, or None when the bound is not within ``gap_tol``.
+    The power steps use ``B + cI``, which is PSD, so they never lower
+    ``a^H B a``."""
+    n = b.shape[0]
+    w, u = lapack.eigh(b)
+    shift = max(-float(w[0]), 0.0)
+    a = phase_normalize(u[:, -1])
+    ba = b @ a
+    obj = float(np.real(np.vdot(a, ba)))
+    for steps in range(1, POWER_MAX_STEPS + 1):
+        a = phase_normalize(ba + shift * a)
+        ba = b @ a
+        prev, obj = obj, float(np.real(np.vdot(a, ba)))
+        if obj - prev <= POWER_REL_GAIN * abs(obj):
+            break
+
+    y = np.real(a.conj() * ba)
+    slack_min = float(lapack.eigvalsh(np.diag(y) - b)[0])
+    # max(nan, 0.0) is nan, so a NaN eigenvalue fails the test below.
+    gap = float(np.sum(y)) + n * max(-slack_min, 0.0) - obj
+    if not gap <= gap_tol * max(1.0, abs(obj)):
+        return None
+    return _solution(np.outer(a, a.conj()), obj, gap, steps)
+
+
+def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution:
+    """The primal-dual IPM from X = I (see the module docstring)."""
+    n = b.shape[0]
     ones = np.ones(n)
-
-    if n == 1:
-        val = float(np.real(b[0, 0]))
-        return SdpSolution(
-            gram=np.ones((1, 1), dtype=complex),
-            objective_value=val,
-            duality_gap=0.0,
-            diag_residual=0.0,
-            min_eigenvalue=1.0,
-            iterations=0,
-        )
-
     lam_max = float(np.max(lapack.eigvalsh(b)))
     scale = max(1.0, abs(lam_max))
 
@@ -159,18 +189,18 @@ def solve(
             break
 
         mu = gap / n
-        w, z_inv = _nt_scaling(x, z)
-        schur = np.real(w * w.conj())  # (|W_ij|^2), symmetric PD
-        cf = lapack.cho_factor(schur)
-        diag_zinv = np.real(np.diag(z_inv))
-
-        def direction(sigma_mu: float):
-            dy = lapack.cho_solve(cf, ones - sigma_mu * diag_zinv)
-            dz = -np.diag(dy).astype(complex)
-            dx = _herm(sigma_mu * z_inv - x + (w * dy[np.newaxis, :]) @ w)
-            return dx, dz
-
         try:
+            w, z_inv = _nt_scaling(x, z)
+            schur = np.real(w * w.conj())  # (|W_ij|^2), symmetric PD
+            cf = lapack.cho_factor(schur)
+            diag_zinv = np.real(np.diag(z_inv))
+
+            def direction(sigma_mu: float):
+                dy = lapack.cho_solve(cf, ones - sigma_mu * diag_zinv)
+                dz = -np.diag(dy).astype(complex)
+                dx = _herm(sigma_mu * z_inv - x + (w * dy[np.newaxis, :]) @ w)
+                return dx, dz
+
             # Predictor (affine direction) fixes the centering parameter.
             dx_a, dz_a = direction(0.0)
             ap = min(1.0, STEP_FRACTION * _max_step(x, dx_a))
@@ -181,9 +211,10 @@ def solve(
             dx, dz = direction(sigma * mu)
             ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
             ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
-        except np.linalg.LinAlgError:
-            # X or Z has lost numerical definiteness near the optimum; keep
-            # the last iterate and let the certificate check below decide.
+        except (np.linalg.LinAlgError, lapack.NonFiniteError):
+            # X or Z has lost numerical definiteness near the optimum, or a
+            # NaN or inf reached a LAPACK call. Keep the last iterate, which
+            # may hold that NaN, and let the NaN-safe check in solve decide.
             iterations -= 1
             break
 
@@ -191,19 +222,37 @@ def solve(
         z = _herm(z + ad * dz)
         gap = float(np.real(np.trace(x @ z)))
 
-    obj = float(np.real(np.trace(b @ x)))
-    sol = SdpSolution(
-        gram=x,
-        objective_value=obj,
-        duality_gap=max(gap, 0.0),
-        diag_residual=float(np.max(np.abs(np.real(np.diag(x)) - 1.0))),
-        min_eigenvalue=float(np.min(lapack.eigvalsh(x))),
-        iterations=iterations,
-    )
+    return _solution(x, float(np.real(np.trace(b @ x))), gap, iterations)
+
+
+@single_threaded()
+def solve(
+    problem: SdpProblem,
+    gap_tol: float = DEFAULT_GAP_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> SdpSolution:
+    """Solve the unit-diagonal SDP relaxation to the requested duality gap.
+
+    First tries to certify a rank-one optimum (``iterations`` then counts
+    its power steps); failing that, runs the interior-point method, which
+    stops once the duality gap is at most ``gap_tol * max(1, |tr(B A)|)``,
+    absolute, not relative, for objectives below 1. The IPM also stops when
+    the step length can no longer be computed (an iterate lost numerical
+    definiteness or a NaN appeared), or after ``max_iter`` iterations.
+    Raises ConvergenceError (carrying the best iterate) if the gap then
+    exceeds ``1e-7 * max(1, |tr(B A)|)``.
+    """
+    b = problem.objective
+    if problem.dimension == 1:
+        return _solution(np.ones((1, 1), dtype=complex), float(np.real(b[0, 0])), 0.0, 0)
+
+    sol = _rank_one_certificate(b, gap_tol)
+    if sol is None:
+        sol = _interior_point(b, gap_tol, max_iter)
     # Written so that a NaN gap (max(nan, 0.0) is nan) fails the certificate.
-    if not sol.duality_gap <= 1e-7 * max(1.0, abs(obj)):
+    if not sol.duality_gap <= 1e-7 * max(1.0, abs(sol.objective_value)):
         raise ConvergenceError(
-            f"duality gap {sol.duality_gap:.3e} after {iterations} iterations",
+            f"duality gap {sol.duality_gap:.3e} after {sol.iterations} iterations",
             best_solution=sol,
         )
     return sol
@@ -211,10 +260,8 @@ def solve(
 
 def phase_normalize(c: np.ndarray) -> np.ndarray:
     """Project complex entries onto the unit circle, elementwise (zeros map to 1)."""
-    out = np.ones_like(c, dtype=complex)
-    nz = np.abs(c) > 0
-    out[nz] = c[nz] / np.abs(c[nz])
-    return out
+    mag = np.abs(c)
+    return np.divide(c, mag, out=np.ones_like(c, dtype=complex), where=mag > 0)
 
 
 @single_threaded()

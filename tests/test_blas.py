@@ -54,7 +54,10 @@ def test_optimize_phases_runs_single_threaded(monkeypatch):
 
 
 def test_restored_after_convergence_error():
-    b = random_psd(np.random.default_rng(9), 8)
+    # An instance without a certified rank-one optimum, so the IPM runs.
+    b = random_psd(np.random.default_rng(1), 8)
+    assert phasefuse.sdp._rank_one_certificate(
+        SdpProblem(b).objective, phasefuse.sdp.DEFAULT_GAP_TOL) is None
     with pytest.raises(ConvergenceError) as info:
         solve(SdpProblem(objective=b), max_iter=2)
     assert counts() == [PRIOR] * len(blas._libraries())

@@ -320,6 +320,22 @@ class TestCommands:
         assert "--emit-plot-script needs --format csv" in capsys.readouterr().err
         assert not out.exists() and not plot.exists()
 
+    @pytest.mark.parametrize("subcommand", ["fig1", "fig2"])
+    def test_plot_script_without_output_exits_2(self, subcommand, tmp_path, monkeypatch,
+                                                capsys):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        plot = tmp_path / "p.py"
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--emit-plot-script", str(plot)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--emit-plot-script needs --output" in captured.err
+        assert captured.out == ""
+        assert not plot.exists()
+
     def test_oracle_beyond_grid_limit_exits_1(self, capsys):
         assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1
         assert "error: grid oracle limited to N <= 4" in capsys.readouterr().err

@@ -121,6 +121,35 @@ class TestRunSweep:
             assert p.strategy_stats["all_ones"].failures == 0
             assert p.degraded
 
+    def test_nan_inside_interior_point_counts_as_failure(self, monkeypatch):
+        # A NaN lambda_max(B) reaches the IPM's first NT scaling; the trial
+        # must take the eigenvector fallback and count as a failure instead
+        # of aborting the sweep with ValueError. Certified instances never
+        # reach the IPM, so only the IPM's calls are counted.
+        objectives, hits = [], []
+
+        class Recording(sdp_module.SdpProblem):
+            def __post_init__(self):
+                super().__post_init__()
+                objectives.append(self.objective)
+
+        eigvalsh = lapack.eigvalsh
+
+        def nan_lambda_max(a):
+            if any(a is o for o in objectives):
+                hits.append(a)
+                return np.full(len(a), np.nan)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(sdp_module, "SdpProblem", Recording)
+        monkeypatch.setattr(lapack, "eigvalsh", nan_lambda_max)
+        result = run_sweep(small_config(sweep_values=(30,), fixed_count=4, trials=4))
+        sdp = result.points[0].strategy_stats["sdp"]
+        assert len(hits) >= 1
+        assert sdp.failures == len(hits)
+        assert sdp.relaxation_bound_mean is None
+        assert np.isfinite(sdp.mean_variance)
+
     def test_fixed_scenario_mode(self):
         cfg = small_config(resample_scenario_per_trial=False, trials=5)
         result = run_sweep(cfg)  # mainly: runs and stays deterministic

@@ -1,5 +1,5 @@
 """Property tests of the relaxation's invariants on random PSD objectives
-B = G G^H (N in 2..8, rank 1..N). Examples are capped and derandomized so
+B = G G^H (N in 2..8, rank 1..N), and of its certified rank-one optima. Examples are capped and derandomized so
 the suite stays fast and deterministic and writes no example database."""
 
 import numpy as np
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phasefuse.estimator import variance_lower_bound
 from phasefuse.phase_opt import SDP_RELAXATION, PhaseStrategy, optimize_phases, optimize_phases_n2
 from phasefuse.rng import RngStream
+from phasefuse import sdp
 from phasefuse.sdp import SdpProblem, solve
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -87,3 +88,15 @@ def test_permutation_invariance(instance):
 def test_positive_scale_covariance(instance, scale):
     b, _ = instance
     assert_objective_close(relaxation_value(scale * b), scale * relaxation_value(b))
+
+
+@SETTINGS
+@given(instances())
+def test_certified_optimum_matches_interior_point(instance):
+    # A certified rank-one optimum (``factor`` set) has the value the IPM
+    # reaches from X = I; uncertified instances run the IPM in both calls.
+    b, _ = instance
+    problem = SdpProblem(objective=b)
+    certified = solve(problem).objective_value
+    ipm = sdp._interior_point(problem.objective, sdp.DEFAULT_GAP_TOL, sdp.DEFAULT_MAX_ITER)
+    assert abs(certified - ipm.objective_value) <= 1e-7 * abs(ipm.objective_value)

@@ -4,7 +4,8 @@ import scipy.linalg as sla
 
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError, ConvergenceError
-from phasefuse.estimator import fisher_matrix
+from phasefuse.estimator import fisher_matrix, noise_covariance
+from phasefuse.phase_opt import optimize_phases_n2
 from phasefuse.rng import RngStream
 from phasefuse import lapack, sdp
 from phasefuse.sdp import (
@@ -27,6 +28,26 @@ def random_psd(gen, n):
 
 def quad(a, b):
     return float(np.real(np.vdot(a, b @ a)))
+
+
+def certificate_declines(problem, gap_tol=sdp.DEFAULT_GAP_TOL):
+    """True when ``solve`` goes on to the interior-point method."""
+    return sdp._rank_one_certificate(problem.objective, gap_tol) is None
+
+
+def assert_certified(sol, problem):
+    """``sol`` is the certified rank-one optimum, reached in power steps."""
+    cert = sdp._rank_one_certificate(problem.objective, sdp.DEFAULT_GAP_TOL)
+    assert cert is not None
+    np.testing.assert_array_equal(sol.gram, cert.gram)
+    assert 1 <= sol.iterations == cert.iterations <= sdp.POWER_MAX_STEPS
+
+
+def assert_interior_point(sol, problem):
+    """``sol`` is the interior-point method's solution."""
+    ipm = sdp._interior_point(problem.objective, sdp.DEFAULT_GAP_TOL, sdp.DEFAULT_MAX_ITER)
+    np.testing.assert_array_equal(sol.gram, ipm.gram)
+    assert sol.iterations == ipm.iterations > 0
 
 
 class TestSolve:
@@ -52,10 +73,13 @@ class TestSolve:
             == (fresh.objective_value, fresh.duality_gap, fresh.iterations)
 
     def test_gap_tolerance_absolute_below_objective_one(self):
-        # solve stops at gap <= gap_tol * max(1, |objective|). Scaled by 0.01
-        # the objective is 0.044, so the tolerance is absolute and the
-        # relative gap stays above gap_tol.
-        b = random_psd(np.random.default_rng(0), 2)
+        # The IPM stops at gap <= gap_tol * max(1, |objective|). Scaled by
+        # 0.01 the objective is 0.53, so the tolerance is absolute and the
+        # relative gap stays above gap_tol. The instance has no certified
+        # rank-one optimum, so both solves run the IPM.
+        b = random_psd(np.random.default_rng(25), 4)
+        assert certificate_declines(SdpProblem(b))
+        assert certificate_declines(SdpProblem(0.01 * b))
         big, small = solve(SdpProblem(b)), solve(SdpProblem(0.01 * b))
         assert big.objective_value > 1.0 > small.objective_value
         assert big.duality_gap <= sdp.DEFAULT_GAP_TOL * big.objective_value
@@ -77,13 +101,44 @@ class TestSolve:
     def test_nan_gap_fails_certificate(self, monkeypatch):
         # A NaN lambda_max(B) makes the starting dual slack, hence every gap,
         # NaN; with no iterations the final gap is NaN and must not pass.
-        problem = SdpProblem(random_psd(np.random.default_rng(3), 4))
+        # The instance has no certified rank-one optimum, so the IPM runs.
+        problem = SdpProblem(random_psd(np.random.default_rng(25), 4))
+        assert certificate_declines(problem)
         eigvalsh = lapack.eigvalsh
         monkeypatch.setattr(lapack, "eigvalsh", lambda a: np.full(len(a), np.nan)
                             if a is problem.objective else eigvalsh(a))
         with pytest.raises(ConvergenceError) as err:
             solve(problem, max_iter=0)
         assert np.isnan(err.value.best_solution.duality_gap)
+
+    def test_nan_inside_loop_fails_certificate(self):
+        # With the default max_iter the NaN reaches the first NT scaling's
+        # eigensolve, which rejects it; the loop ends as on a lost
+        # definiteness and the final check raises ConvergenceError.
+        problem = SdpProblem(random_psd(np.random.default_rng(25), 4))
+        assert certificate_declines(problem)
+        eigvalsh = lapack.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lapack, "eigvalsh", lambda a: np.full(len(a), np.nan)
+                       if a is problem.objective else eigvalsh(a))
+            with pytest.raises(ConvergenceError) as err:
+                solve(problem)
+        best = err.value.best_solution
+        assert np.isnan(best.duality_gap)
+        assert best.iterations == 0
+
+    def test_other_value_error_in_loop_propagates(self, monkeypatch):
+        # Only a NaN or inf ends the loop quietly; any other ValueError
+        # (a shape bug, say) surfaces instead of becoming a ConvergenceError.
+        problem = SdpProblem(random_psd(np.random.default_rng(25), 4))
+        assert certificate_declines(problem)
+
+        def broken(a):
+            raise ValueError("shapes do not match")
+
+        monkeypatch.setattr(lapack, "cho_factor", broken)
+        with pytest.raises(ValueError, match="shapes do not match"):
+            solve(problem)
 
     def test_n1(self):
         sol = solve(SdpProblem(objective=np.array([[2.5]])))
@@ -119,6 +174,105 @@ class TestSolve:
         sol = solve(SdpProblem(objective=b))
         n_lam = n * float(np.max(np.linalg.eigvalsh(b)))
         assert sol.objective_value <= n_lam + 1e-8 * max(1.0, n_lam)
+
+
+def fisher_instance(n, m, seed):
+    """(B, channel, scenario) of a sampled Fisher instance."""
+    rng = RngStream(seed, 0)
+    scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=m), rng.child(0))
+    channel = generate_channel(scenario, rng.child(1))
+    return fisher_matrix(channel, scenario), channel, scenario
+
+
+class TestRankOneCertificate:
+    """``solve`` returns a certified rank-one optimum a a^H, with
+    ``iterations`` counting its power steps, when the dual bound from a
+    meets a^H B a."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (10, 1), (30, 2), (100, 3)])
+    def test_single_antenna_is_co_phasing(self, n, seed):
+        # M = 1: B = h^H h / c with c the scalar noise covariance, so the
+        # optimum co-phases the sensors, a_i = conj(h_i) / |h_i|, with value
+        # (sum |h_i|)^2 / c.
+        b, channel, scenario = fisher_instance(n, 1, seed)
+        h = channel.matrix[0]
+        c = float(np.real(noise_covariance(channel, scenario)[0, 0]))
+        problem = SdpProblem(b)
+        sol = solve(problem)
+        assert_certified(sol, problem)
+        assert sol.objective_value == pytest.approx(np.sum(np.abs(h)) ** 2 / c, rel=1e-12)
+        a = extract_rank_one(sol, problem, RngStream(0, 0))
+        ratio = a / phase_normalize(h.conj())
+        np.testing.assert_allclose(ratio, ratio[0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["fisher", "random"])
+    def test_two_sensors_match_closed_form(self, kind, seed):
+        b = fisher_instance(2, 4, seed)[0] if kind == "fisher" else \
+            random_psd(np.random.default_rng(seed), 2)
+        problem = SdpProblem(b)
+        sol = solve(problem)
+        best = quad(optimize_phases_n2(b), b)
+        assert_certified(sol, problem)
+        assert sol.objective_value == pytest.approx(best, rel=1e-12)
+        a = extract_rank_one(sol, problem, RngStream(seed, 0))
+        assert quad(a, b) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m,seed", [(4, 4, 0), (6, 4, 1), (10, 4, 2), (30, 1, 3),
+                                          (5, 16, 4)])
+    def test_certified_dual_is_feasible(self, n, m, seed):
+        b = fisher_instance(n, m, seed)[0]
+        problem = SdpProblem(b)
+        sol = solve(problem)
+        assert_certified(sol, problem)
+        a = sol.gram[:, 0]  # a conj(a_0): a up to a global phase
+        y = np.real(a.conj() * (b @ a))
+        lam_min = float(np.min(np.linalg.eigvalsh(np.diag(y) - b)))
+        obj = quad(a, b)
+        tol = sdp.DEFAULT_GAP_TOL * max(1.0, abs(obj))
+        assert lam_min >= -tol / n
+        assert np.sum(y) + n * max(0.0, -lam_min) >= obj
+        assert sol.duality_gap <= tol
+        assert sol.diag_residual <= 1e-12
+        assert sol.min_eigenvalue >= -1e-12 * n
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dual_bound_holds_for_any_phases(self, seed):
+        # Weak duality: for any unit-modulus a, sum(y) + N max(0,
+        # -lambda_min(Diag(y) - B)) bounds the relaxation from above.
+        gen = np.random.default_rng(500 + seed)
+        n = int(gen.integers(3, 12))
+        b = random_psd(gen, n)
+        value = solve(SdpProblem(b)).objective_value
+        a = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, n))
+        y = np.real(a.conj() * (b @ a))
+        bound = np.sum(y) + n * max(0.0, -float(np.min(np.linalg.eigvalsh(np.diag(y) - b))))
+        assert bound >= value * (1 - 1e-9)
+
+    def test_declined_on_loose_relaxation(self):
+        # A Fisher instance at N = 30, M = 4 whose relaxation has no
+        # certified rank-one optimum: the IPM runs.
+        problem = SdpProblem(fisher_instance(30, 4, 0)[0])
+        assert certificate_declines(problem)
+        assert_interior_point(solve(problem), problem)
+
+    def test_nan_certificate_falls_through_to_ipm(self, monkeypatch):
+        # The certificate's only eigvalsh call is lambda_min(Diag(y) - B),
+        # its first; a NaN there must send solve on to the IPM.
+        problem = SdpProblem(fisher_instance(6, 1, 0)[0])
+        certified = solve(problem)
+        assert_certified(certified, problem)
+        eigvalsh, calls = lapack.eigvalsh, []
+
+        def nan_first(a):
+            calls.append(a)
+            return np.full(len(a), np.nan) if len(calls) == 1 else eigvalsh(a)
+
+        monkeypatch.setattr(lapack, "eigvalsh", nan_first)
+        sol = solve(problem)
+        assert_interior_point(sol, problem)
+        assert sol.duality_gap <= sdp.DEFAULT_GAP_TOL * max(1.0, abs(sol.objective_value))
+        assert sol.objective_value == pytest.approx(certified.objective_value, rel=1e-7)
 
 
 class TestDirectLapack:
