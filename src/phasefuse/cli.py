@@ -355,24 +355,24 @@ def _cmd_selftest(_args) -> int:
     report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), RngStream(0, 0))
     check("SDP matches closed form", abs(report.achieved_variance - 1.0 / 3.0) <= 1e-6)
 
-    # Dual-formula identity on random instances.
-    gen = np.random.default_rng(1)
+    # fisher_matrix on sampled M > N instances, which take its
+    # matrix-inversion-lemma branch, against the direct H^H C^{-1} H.
     ok = True
-    for _ in range(20):
-        n, m = int(gen.integers(2, 8)), int(gen.integers(1, 8))
-        h = gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n))
-        sv = gen.uniform(0.001, 0.01, n)
-        s = 0.1
-        c = (h * sv) @ h.conj().T + s * np.eye(m)
+    for k in range(20):
+        n = 2 + k % 6
+        stream = RngStream(1, k)
+        scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=n + 1 + k),
+                                   stream.child(0))
+        channel = generate_channel(scenario, stream.child(1))
+        h, sv = channel.matrix, scenario.sensor_noise_powers
+        c = (h * sv) @ h.conj().T + scenario.fc_noise_power * np.eye(len(h))
         direct = h.conj().T @ np.linalg.solve(c, h)
-        g = h.conj().T @ h
-        wood = g / s - g @ np.linalg.solve(np.diag(1.0 / sv) + g / s, g) / s**2
-        ok &= bool(
-            np.linalg.norm(direct - wood) <= 1e-10 * max(1.0, np.linalg.norm(direct))
-        )
+        err = np.linalg.norm(fisher_matrix(channel, scenario) - direct)
+        ok &= bool(err <= 1e-10 * max(1.0, np.linalg.norm(direct)))
     check("matrix-inversion-lemma identity", ok)
 
     # Relaxation sandwich on random PSD instances.
+    gen = np.random.default_rng(1)
     ok = True
     for k in range(10):
         g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))

@@ -41,9 +41,12 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
 
     Uses a Cholesky solve of the M x M covariance when M <= N; for M > N
     (and invertible V) the matrix-inversion-lemma form is used instead, which
-    only inverts an N x N matrix:
+    only factors an N x N matrix:
 
         B = (1/s) G - (1/s^2) G (V^{-1} + (1/s) G)^{-1} G,   G = H^H H.
+
+    Raises DegenerateInstanceError when B overflows in floating point (channel
+    gains near the largest double).
     """
     h = channel.matrix
     m, n = h.shape
@@ -52,14 +55,21 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     if s <= 0:
         raise ConfigurationError("fc_noise_power must be positive for estimation")
 
-    if m > n and np.all(sv > 0):
-        g = h.conj().T @ h
-        inner = np.diag(1.0 / sv) + g / s
-        b = g / s - (g @ lapack.solve_pos(inner, g)) / (s * s)
-    else:
-        c = noise_covariance(channel, scenario)
-        b = h.conj().T @ lapack.cho_solve(lapack.cho_factor(c), h)
-    return 0.5 * (b + b.conj().T)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            if m > n and np.all(sv > 0):
+                g = h.conj().T @ h
+                inner = np.diag(1.0 / sv) + g / s
+                b = g / s - (g @ lapack.cho_solve(lapack.cho_factor(inner), g)) / (s * s)
+            else:
+                c = noise_covariance(channel, scenario)
+                b = h.conj().T @ lapack.cho_solve(lapack.cho_factor(c), h)
+            b = 0.5 * (b + b.conj().T)
+        if np.isfinite(b).all():
+            return b
+    except lapack.NonFiniteError:
+        pass
+    raise DegenerateInstanceError("B = H^H C^{-1} H overflows in floating point")
 
 
 def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,14 +16,14 @@ Each function makes the call its ``scipy.linalg`` counterpart makes for a
 2-D double matrix: the same routine, chosen by dtype as ``get_lapack_funcs``
 does (``d*`` for float64, ``z*`` for complex128; other dtypes are computed in
 one of these two), the same arguments and the same workspace size, so the
-results are bit-identical. Workspace queries are cached per routine and
-order N: at N <= a few hundred ``scipy.linalg``'s per-call wrapper
-(validation, a fresh workspace query, batching) cost about as much as LAPACK
-itself. scipy's checks are kept: a NaN or inf raises ``ValueError`` (here its
-subclass ``NonFiniteError``, so callers can catch that case alone), a matrix
-that is not positive definite or an eigensolver failure raises
-``numpy.linalg.LinAlgError``, and ``solve_pos`` warns with ``LinAlgWarning``
-when its matrix is ill-conditioned.
+results are bit-identical. Every positive definite solve goes through the
+lower Cholesky factor (``cho_factor`` then ``cho_solve``). Workspace queries
+are cached per routine and order N: at N <= a few hundred ``scipy.linalg``'s
+per-call wrapper (validation, a fresh workspace query, batching) cost about
+as much as LAPACK itself. scipy's checks are kept: a NaN or inf raises
+``ValueError`` (here its subclass ``NonFiniteError``, so callers can catch
+that case alone), and a matrix that is not positive definite or an
+eigensolver failure raises ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -32,15 +32,10 @@ import functools
 import importlib.machinery
 import importlib.util
 import sysconfig
-import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy
-
-
-class LinAlgWarning(RuntimeWarning):
-    """An ill-conditioned system was solved (as ``scipy.linalg.LinAlgWarning``)."""
 
 
 def _load_flapack():
@@ -64,7 +59,7 @@ _ROUTINES = {
     kind: {
         name: getattr(_FLAPACK, kind + (name if kind == "z" else name.replace("he", "sy", 1)))
         for name in ("heevr", "heevr_lwork", "hegvx", "hegvx_lwork",
-                     "potrf", "potrs", "pocon")
+                     "potrf", "potrs")
     }
     for kind in "dz"
 }
@@ -145,8 +140,12 @@ def pencil_min_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
     return float(w[0])
 
 
-def _potrf(a: np.ndarray, kind: str, lower: int) -> np.ndarray:
-    c, info = _ROUTINES[kind]["potrf"](a, lower=lower, clean=0)
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of Hermitian positive definite ``a`` (upper
+    triangle left as input), as ``scipy.linalg.cho_factor(a, lower=True)[0]``."""
+    a = np.asarray(a)
+    _check_finite(a)
+    c, info = _ROUTINES[_kind(a)]["potrf"](a, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
     if info < 0:
@@ -154,43 +153,11 @@ def _potrf(a: np.ndarray, kind: str, lower: int) -> np.ndarray:
     return c
 
 
-def _potrs(c: np.ndarray, b: np.ndarray, kind: str, lower: int) -> np.ndarray:
-    x, info = _ROUTINES[kind]["potrs"](c, b, lower=lower)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
-
-
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of Hermitian positive definite ``a`` (upper
-    triangle left as input), as ``scipy.linalg.cho_factor(a, lower=True)[0]``."""
-    a = np.asarray(a)
-    _check_finite(a)
-    return _potrf(a, _kind(a), 1)
-
-
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve with a ``cho_factor`` factor, as ``scipy.linalg.cho_solve((c, True), b)``."""
     c, b = np.asarray(c), np.asarray(b)
     _check_finite(b, c)
-    return _potrs(c, b, _kind(c, b), 1)
-
-
-def solve_pos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for Hermitian positive definite ``a`` through its
-    upper Cholesky factor, as ``scipy.linalg.solve(a, b, assume_a="pos")``.
-
-    Warns with ``LinAlgWarning`` when the reciprocal condition number (1-norm,
-    from ``?pocon``) is below machine epsilon, as scipy does.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    _check_finite(a, b)
-    kind = _kind(a, b)
-    c = _potrf(a, kind, 0)
-    rcond, info = _ROUTINES[kind]["pocon"](c, np.abs(a).sum(axis=0).max(), uplo="U")
+    x, info = _ROUTINES[_kind(c, b)]["potrs"](c, b, lower=1)
     if info:
-        raise ValueError(f"illegal value in argument {-info} of pocon")
-    if rcond < np.finfo(float).eps:
-        warnings.warn(f"an ill-conditioned matrix detected: rcond = {rcond}",
-                      LinAlgWarning, stacklevel=2)
-    return _potrs(c, b, kind, 0)
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x

@@ -24,7 +24,7 @@ from .channel import (
     generate_channel,
     sample_scenario,
 )
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError, ConvergenceError, DegenerateInstanceError
 from .estimator import (
     estimator_variance,
     fisher_matrix,
@@ -164,8 +164,9 @@ def _run_trial(
             relax = report.relaxation_value
             relaxation_bounds[strategy.kind] = None if relax is None else 1.0 / relax
             failed[strategy.kind] = False
-        except ConvergenceError:
+        except (ConvergenceError, DegenerateInstanceError):
             # Never drop a trial: fall back to leading-eigenvector rounding.
+            # A degenerate B as a whole already raised at variance_lower_bound.
             variances[strategy.kind] = estimator_variance(eigenvector_rounding(b), b)
             relaxation_bounds[strategy.kind] = None
             failed[strategy.kind] = True

@@ -198,7 +198,7 @@ def _call_verify_concentration():
 # callee runs inside the scoped function's BLAS or LAPACK work.
 SCOPED = [
     ("fisher_matrix", estimator, "noise_covariance", lambda: _call_fisher(6, 3)),
-    ("fisher_matrix_m_gt_n", lapack, "solve_pos", lambda: _call_fisher(3, 6)),
+    ("fisher_matrix_m_gt_n", lapack, "cho_solve", lambda: _call_fisher(3, 6)),
     ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
     ("variance_lower_bound", lapack, "eigvalsh", _call_variance_lower_bound),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from phasefuse import cli
+from phasefuse import cli, lapack
 from phasefuse.cli import (
     CSV_HEADER,
     build_parser,
@@ -335,6 +335,35 @@ class TestCommands:
         assert "--emit-plot-script needs --output" in captured.err
         assert captured.out == ""
         assert not plot.exists()
+
+    @pytest.mark.parametrize("subcommand", [
+        ["run", "--sensors", "2", "--antennas", "4"],      # matrix-inversion lemma
+        ["fig1", "--sensors", "4", "--trials", "2"],       # M <= N: direct solve
+    ], ids=["run", "fig1"])
+    def test_overflowing_channel_gains_exit_1(self, subcommand, capsys):
+        # d^-alpha = 1e200 is finite, but H^H H is not.
+        assert main(subcommand + ["--dist-range", "1e-200,1e-199"]) == 1
+        err = capsys.readouterr().err
+        assert "error: B = H^H C^{-1} H overflows" in err
+        assert "Traceback" not in err
+
+    def test_selftest_fails_on_a_wrong_lemma_branch(self, monkeypatch, capsys):
+        # selftest's Fisher instances all have M > N, so the only square
+        # right-hand side is the lemma branch's G (N x N); the SDP's
+        # Cholesky solves take a vector.
+        real, hits = lapack.cho_solve, []
+
+        def wrong_square_solve(c, b):
+            x = real(c, b)
+            if b.ndim == 2 and b.shape[0] == b.shape[1]:
+                hits.append(b.shape)
+                return 1.01 * x
+            return x
+
+        monkeypatch.setattr(lapack, "cho_solve", wrong_square_solve)
+        assert main(["selftest"]) == 1
+        assert "[FAIL] matrix-inversion-lemma identity" in capsys.readouterr().out
+        assert hits
 
     def test_oracle_beyond_grid_limit_exits_1(self, capsys):
         assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1

@@ -69,7 +69,8 @@ class TestFisherMatrix:
         b = fisher_matrix(channel_of(h), scenario_of(h, np.zeros(4), 0.2))
         assert np.allclose(b, h.conj().T @ h / 0.2, rtol=1e-12)
 
-    @pytest.mark.parametrize("n,m", [(4, 6), (6, 4), (2, 8), (8, 2), (1, 5)])
+    @pytest.mark.parametrize("n,m", [(4, 6), (6, 4), (2, 8), (8, 2), (1, 5), (10, 16),
+                                     (4, 128)])
     def test_dual_formula_identity(self, n, m):
         # Independent oracle: the matrix-inversion-lemma expansion, computed
         # with plain numpy inverses.
@@ -82,6 +83,15 @@ class TestFisherMatrix:
             b = fisher_matrix(ch, scn)
             err = np.linalg.norm(b - oracle) / max(1.0, np.linalg.norm(oracle))
             assert err < 1e-10
+
+    @pytest.mark.parametrize("n,m,sv", [(2, 4, 0.01), (4, 2, 0.01), (4, 2, 0.0)],
+                             ids=["lemma", "direct", "direct-noiseless-sensors"])
+    def test_overflow_is_degenerate(self, n, m, sv):
+        # H^H H (or C) overflows; with noiseless sensors C = s I is finite
+        # and B = H^H H / s overflows instead.
+        h = 1e200 * np.ones((m, n))
+        with pytest.raises(DegenerateInstanceError, match="overflows"):
+            fisher_matrix(channel_of(h), scenario_of(h, np.full(n, sv), 0.1))
 
     def test_hermitian_psd(self):
         gen = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasefuse import lapack
+from phasefuse import lapack, montecarlo
 from phasefuse.channel import (
     NOISE_BLOCK_ROWS,
     Scenario,
@@ -13,7 +13,7 @@ from phasefuse.channel import (
     sample_scenario,
 )
 from phasefuse import sdp as sdp_module
-from phasefuse.errors import ConfigurationError, ConvergenceError
+from phasefuse.errors import ConfigurationError, ConvergenceError, DegenerateInstanceError
 from phasefuse.estimator import noise_covariance
 from phasefuse.montecarlo import (
     ANTENNA_SWEEP,
@@ -120,6 +120,26 @@ class TestRunSweep:
             assert p.lower_bound_mean <= sdp.mean_variance
             assert p.strategy_stats["all_ones"].failures == 0
             assert p.degraded
+
+    def test_degenerate_strategy_counts_as_failure(self, monkeypatch):
+        # B = v v^H with sum(v) = 0: all-ones phases give a^H B a = 0, which
+        # estimator_variance rejects. That strategy takes the eigenvector
+        # fallback, a = (1, -1) and variance 1/4; the sdp row is unaffected.
+        v = np.array([1.0, -1.0], dtype=complex)
+        monkeypatch.setattr(montecarlo, "fisher_matrix", lambda *args: np.outer(v, v))
+        result = run_sweep(small_config(sweep_values=(2,), trials=2))
+        stats = result.points[0].strategy_stats
+        assert stats["all_ones"].failures == 2
+        assert stats["all_ones"].mean_variance == pytest.approx(0.25, rel=1e-12)
+        assert stats["sdp"].failures == 0
+        assert stats["sdp"].mean_variance == pytest.approx(0.25, rel=1e-12)
+        assert stats["sdp"].relaxation_bound_mean == pytest.approx(0.25, rel=1e-8)
+
+    def test_degenerate_b_still_ends_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "fisher_matrix",
+                            lambda *args: np.zeros((2, 2), dtype=complex))
+        with pytest.raises(DegenerateInstanceError, match="lambda_max"):
+            run_sweep(small_config(sweep_values=(2,), trials=2))
 
     def test_nan_inside_interior_point_counts_as_failure(self, monkeypatch):
         # A NaN lambda_max(B) reaches the IPM's first NT scaling; the trial
