@@ -17,6 +17,7 @@ from .channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    ScenarioParams,
     generate_channel,
     sample_scenario,
     synthesize_received_signal,
@@ -63,6 +64,7 @@ __all__ = [
     "SDP_RELAXATION",
     "Scenario",
     "ScenarioConfig",
+    "ScenarioParams",
     "SdpProblem",
     "SdpSolution",
     "estimator_variance",

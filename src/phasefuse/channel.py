@@ -9,7 +9,7 @@ diag(sigma_v^2), FC noise n is CN(0, sigma_n^2 I_M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,23 +35,26 @@ def check_finite(obj: object, names: tuple[str, ...]) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Sampling template for scenarios (fixed counts plus parameter ranges)."""
+def _check_counts(obj: object) -> None:
+    if obj.n_sensors < 1 or obj.n_antennas < 1:
+        raise ConfigurationError("n_sensors and n_antennas must be >= 1")
 
-    n_sensors: int
-    n_antennas: int
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioParams:
+    """The scenario parameters that every config samples from: path-loss
+    exponent, FC noise power and the ranges of the sensor distances and
+    noise powers. ``ScenarioConfig``, ``ExperimentConfig`` and
+    ``ConcentrationConfig`` inherit them, defaults and checks included."""
+
     path_loss_exp: float = 1.0
     fc_noise_power: float = 0.1
     distance_range: tuple[float, float] = (2.0, 7.0)
     sensor_noise_range: tuple[float, float] = (0.001, 0.01)
-    theta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.n_sensors < 1 or self.n_antennas < 1:
-            raise ConfigurationError("n_sensors and n_antennas must be >= 1")
         check_finite(self, ("path_loss_exp", "fc_noise_power", "distance_range",
-                             "sensor_noise_range", "theta"))
+                            "sensor_noise_range"))
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
         for name, (lo, hi) in (
@@ -62,6 +65,24 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be a positive interval with low <= high, got ({lo}, {hi})"
                 )
+
+    def params(self) -> dict:
+        """This config's scenario parameters, by field name."""
+        return {f.name: getattr(self, f.name) for f in fields(ScenarioParams)}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(ScenarioParams):
+    """Sampling template for scenarios (fixed counts plus parameter ranges)."""
+
+    n_sensors: int
+    n_antennas: int
+    theta: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        _check_counts(self)
+        super().__post_init__()
+        check_finite(self, ("theta",))
 
 
 @dataclass(frozen=True)
@@ -77,6 +98,7 @@ class Scenario:
     theta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        _check_counts(self)
         d = np.asarray(self.distances, dtype=float)
         sv = np.asarray(self.sensor_noise_powers, dtype=float)
         object.__setattr__(self, "distances", d)

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import ScenarioConfig, generate_channel, sample_scenario
+from .channel import ScenarioConfig, ScenarioParams, generate_channel, sample_scenario
 from .errors import ConfigurationError, PhasefuseError
 from .estimator import fisher_matrix
 from .montecarlo import (
@@ -104,16 +104,17 @@ def _parse_strategies(text: str) -> tuple[PhaseStrategy, ...]:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    defaults = ScenarioParams()
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--fc-noise", type=float, default=0.1)
-    p.add_argument("--dist-range", type=_parse_range, default=(2.0, 7.0))
-    p.add_argument("--sensor-noise-range", type=_parse_range, default=(0.001, 0.01))
+    p.add_argument("--alpha", type=float, default=defaults.path_loss_exp)
+    p.add_argument("--fc-noise", type=float, default=defaults.fc_noise_power)
+    p.add_argument("--dist-range", type=_parse_range, default=defaults.distance_range)
+    p.add_argument("--sensor-noise-range", type=_parse_range,
+                   default=defaults.sensor_noise_range)
 
 
 def _scenario_fields(args) -> dict:
-    """The config fields the scenario flags set, by field name; both
-    ``ScenarioConfig`` and ``ExperimentConfig`` take them."""
+    """The ``ScenarioParams`` fields the scenario flags set, by field name."""
     return dict(path_loss_exp=args.alpha, fc_noise_power=args.fc_noise,
                 distance_range=args.dist_range, sensor_noise_range=args.sensor_noise_range)
 

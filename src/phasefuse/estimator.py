@@ -25,14 +25,21 @@ def _degeneracy_floor(b: np.ndarray) -> float:
 
 @single_threaded()
 def noise_covariance(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
-    """Covariance of the effective noise at the FC: H V H^H + sigma_n^2 I_M."""
+    """Covariance of the effective noise at the FC: H V H^H + sigma_n^2 I_M.
+
+    Raises DegenerateInstanceError when it overflows in floating point
+    (channel gains near the square root of the largest double)."""
     if scenario.fc_noise_power <= 0:
         raise ConfigurationError("fc_noise_power must be positive for estimation")
     h = channel.matrix
-    hv = h * scenario.sensor_noise_powers[np.newaxis, :]
-    c = hv @ h.conj().T
-    c[np.diag_indices_from(c)] += scenario.fc_noise_power
-    return 0.5 * (c + c.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        hv = h * scenario.sensor_noise_powers[np.newaxis, :]
+        c = hv @ h.conj().T
+        c[np.diag_indices_from(c)] += scenario.fc_noise_power
+        c = 0.5 * (c + c.conj().T)
+    if not np.isfinite(c).all():
+        raise DegenerateInstanceError("C = H V H^H + sigma_n^2 I overflows in floating point")
+    return c
 
 
 @single_threaded()
@@ -67,7 +74,7 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
             b = 0.5 * (b + b.conj().T)
         if np.isfinite(b).all():
             return b
-    except lapack.NonFiniteError:
+    except (lapack.NonFiniteError, DegenerateInstanceError):  # C or G overflowed
         pass
     raise DegenerateInstanceError("B = H^H C^{-1} H overflows in floating point")
 

@@ -20,6 +20,7 @@ from .channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    ScenarioParams,
     complex_gaussian_blocks,
     generate_channel,
     sample_scenario,
@@ -51,22 +52,16 @@ def _scenario_config(
 ) -> ScenarioConfig:
     """The scenario of one sweep point: ``value`` sensors and
     ``config.fixed_count`` antennas for a sensor sweep, the other way round
-    for an antenna sweep, with ``config``'s scenario ranges."""
+    for an antenna sweep, with ``config``'s scenario parameters."""
     n, m = (value, config.fixed_count) if sweep == SENSOR_SWEEP \
         else (config.fixed_count, value)
-    return ScenarioConfig(
-        n_sensors=n,
-        n_antennas=m,
-        path_loss_exp=config.path_loss_exp,
-        fc_noise_power=config.fc_noise_power,
-        distance_range=config.distance_range,
-        sensor_noise_range=config.sensor_noise_range,
-    )
+    return ScenarioConfig(n_sensors=n, n_antennas=m, **config.params())
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one sweep experiment."""
+class ExperimentConfig(ScenarioParams):
+    """Full description of one sweep experiment, with the scenario
+    parameters of ``ScenarioParams``."""
 
     sweep: str                       # SENSOR_SWEEP or ANTENNA_SWEEP
     sweep_values: tuple[int, ...]
@@ -74,13 +69,10 @@ class ExperimentConfig:
     trials: int = 300
     master_seed: int = 0
     strategies: tuple[PhaseStrategy, ...] = DEFAULT_STRATEGIES
-    path_loss_exp: float = 1.0
-    fc_noise_power: float = 0.1
-    distance_range: tuple[float, float] = (2.0, 7.0)
-    sensor_noise_range: tuple[float, float] = (0.001, 0.01)
     resample_scenario_per_trial: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.sweep not in (SENSOR_SWEEP, ANTENNA_SWEEP):
             raise ConfigurationError(f"unknown sweep kind {self.sweep!r}")
         vals = tuple(int(v) for v in self.sweep_values)
@@ -171,15 +163,14 @@ def _run_trial(
             relaxation_bounds[strategy.kind] = None
             failed[strategy.kind] = True
 
-    inputs = asymptotics.AsymptoticInputs.from_scenario(scenario)
     return _TrialOutcome(
         lower_bound=lb,
         variances=variances,
         relaxation_bounds=relaxation_bounds,
         failed=failed,
-        eq11=asymptotics.large_n_lower_bound(inputs),
-        eq12=asymptotics.single_antenna_upper_bound(inputs),
-        eq17=asymptotics.large_m_variance(inputs),
+        eq11=asymptotics.large_n_lower_bound(scenario),
+        eq12=asymptotics.single_antenna_upper_bound(scenario),
+        eq17=asymptotics.large_m_variance(scenario),
     )
 
 
@@ -305,16 +296,12 @@ def verify_unbiasedness(
 
 
 @dataclass(frozen=True)
-class ConcentrationConfig:
+class ConcentrationConfig(ScenarioParams):
     mode: str = SENSOR_SWEEP           # grow N (fixed M) or grow M (fixed N)
     values: tuple[int, ...] = (250, 500, 1000, 2000, 4000)
     fixed_count: int = 4
     n_draws: int = 50
     master_seed: int = 0
-    path_loss_exp: float = 1.0
-    fc_noise_power: float = 0.1
-    distance_range: tuple[float, float] = (2.0, 7.0)
-    sensor_noise_range: tuple[float, float] = (0.001, 0.01)
 
 
 @dataclass
@@ -350,6 +337,8 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
             else:
                 g = h.conj().T @ h / value
             diag_mean = float(np.mean(np.real(np.diag(g))))
+            if diag_mean <= 0:
+                raise DegenerateInstanceError("the channel gains underflow to zero")
             off = g - np.diag(np.diag(g))
             rels[t] = float(np.max(np.abs(off))) / diag_mean if g.shape[0] > 1 else np.nan
         points.append(

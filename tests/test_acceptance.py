@@ -23,12 +23,11 @@ import numpy as np
 import pytest
 
 from phasefuse.asymptotics import (
-    AsymptoticInputs,
     bound_ratio,
     large_n_lower_bound,
     single_antenna_upper_bound,
 )
-from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
+from phasefuse.channel import Scenario, ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.estimator import fisher_matrix, variance_lower_bound
 from phasefuse.montecarlo import (
     ANTENNA_SWEEP,
@@ -266,7 +265,7 @@ def _eigenvalue_bound_gap(n):
     for t in range(100):
         b, scn, _, _ = channel_fisher(n, 4, seed=800, stream_index=t)
         lbs.append(variance_lower_bound(b))
-        eq11s.append(large_n_lower_bound(AsymptoticInputs.from_scenario(scn)))
+        eq11s.append(large_n_lower_bound(scn))
     return abs(np.mean(lbs) - np.mean(eq11s)) / np.mean(eq11s)
 
 
@@ -287,7 +286,7 @@ def test_criterion_08b_single_antenna_asymptote():
         b, scn, ch, _ = channel_fisher(200, 1, seed=801, stream_index=t)
         a = phase_normalize(ch.matrix[0].conj())  # coherent alignment, M=1
         var = 1.0 / quad(a, b)
-        eq12 = single_antenna_upper_bound(AsymptoticInputs.from_scenario(scn))
+        eq12 = single_antenna_upper_bound(scn)
         rels.append(abs(var - eq12) / eq12)
     report("8b", "M=1 optimal-phase variance at N=200 within 10% of "
                  "single-antenna formula", max(rels) <= 0.10,
@@ -330,7 +329,8 @@ def test_criterion_11_ratio_identity():
     ok = True
     for _ in range(1000):
         n = int(gen.integers(1, 40))
-        inp = AsymptoticInputs(
+        inp = Scenario(
+            n_sensors=n, n_antennas=1,
             distances=gen.uniform(1.0, 9.0, n),
             sensor_noise_powers=gen.uniform(0.0, 0.05, n),
             fc_noise_power=gen.uniform(0.01, 1.0),
@@ -339,7 +339,8 @@ def test_criterion_11_ratio_identity():
         lhs = bound_ratio(inp)
         rhs = large_n_lower_bound(inp) / single_antenna_upper_bound(inp)
         ok &= abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    equal_d = AsymptoticInputs(
+    equal_d = Scenario(
+        n_sensors=12, n_antennas=1,
         distances=np.full(12, 3.3), sensor_noise_powers=np.full(12, 0.004),
         fc_noise_power=0.1, path_loss_exp=1.0,
     )

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from phasefuse.asymptotics import (
-    AsymptoticInputs,
     bound_ratio,
     large_m_variance,
     large_n_lower_bound,
     single_antenna_upper_bound,
 )
+from phasefuse.channel import Scenario
 from phasefuse.errors import ConfigurationError
 
 
 def inputs_of(d, sv, fc=0.1, alpha=1.0, m=1):
-    return AsymptoticInputs(
-        distances=np.asarray(d, dtype=float),
-        sensor_noise_powers=np.asarray(sv, dtype=float),
-        fc_noise_power=fc, path_loss_exp=alpha, n_antennas=m,
+    return Scenario(
+        n_sensors=len(d), n_antennas=m, path_loss_exp=alpha, fc_noise_power=fc,
+        distances=d, sensor_noise_powers=sv,
     )
 
 

@@ -250,6 +250,11 @@ def _raise_verify_unbiasedness():
         scenario, chan, np.ones(scenario.n_sensors, dtype=complex), 10, RngStream(5, 2))
 
 
+# Channel gains d^-alpha that underflow to 0: B = 0 ends a sweep at
+# variance_lower_bound, and the concentration check finds a zero diagonal.
+# Both raise inside the scope, after their configs are built.
+UNDERFLOWING_GAINS = dict(distance_range=(1e200, 1e201), path_loss_exp=2.0)
+
 RAISING = {
     "fisher_matrix": lambda: estimator.fisher_matrix(*instance(fc_noise_power=0.0)[::-1]),
     "noise_covariance": lambda: estimator.noise_covariance(
@@ -265,10 +270,10 @@ RAISING = {
         *instance(fc_noise_power=0.0)[::-1], PhaseStrategy(phase_opt.ALL_ONES),
         RngStream(5, 2)),
     "extract_rank_one": _raise_extract_rank_one,
-    "run_sweep": lambda: montecarlo.run_sweep(small_sweep(fc_noise_power=0.0)),
+    "run_sweep": lambda: montecarlo.run_sweep(small_sweep(**UNDERFLOWING_GAINS)),
     "verify_unbiasedness": _raise_verify_unbiasedness,
     "verify_diagonal_concentration": lambda: montecarlo.verify_diagonal_concentration(
-        montecarlo.ConcentrationConfig(values=(8,), fc_noise_power=0.0)),
+        montecarlo.ConcentrationConfig(values=(8,), **UNDERFLOWING_GAINS)),
 }
 
 

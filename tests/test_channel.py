@@ -256,6 +256,12 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             make_scenario(**kwargs)
 
+    @pytest.mark.parametrize("n,m", [(0, 2), (2, 0)])
+    def test_zero_count_rejected(self, n, m):
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            Scenario(n_sensors=n, n_antennas=m, path_loss_exp=1.0, fc_noise_power=0.1,
+                     distances=np.full(n, 3.0), sensor_noise_powers=np.full(n, 0.005))
+
     def test_all_nan_rejected(self):
         with pytest.raises(ConfigurationError, match="must be finite"):
             Scenario(n_sensors=2, n_antennas=2, path_loss_exp=np.nan,

@@ -143,6 +143,12 @@ class TestMlEstimate:
             ml_estimate(np.ones(2, dtype=complex), channel_of(h),
                         scenario_of(h, [0.01, 0.01], 0.1), np.ones(2))
 
+    def test_overflowing_covariance_is_degenerate(self):
+        h = 1e200 * np.ones((4, 2))  # C = H V H^H + s I overflows
+        with pytest.raises(DegenerateInstanceError, match="overflows"):
+            ml_estimate(np.ones(4, dtype=complex), channel_of(h),
+                        scenario_of(h, [0.01, 0.01], 0.1), np.ones(2))
+
 
 class TestEstimatorVariance:
     def test_identity_b(self):

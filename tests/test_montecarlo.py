@@ -38,6 +38,18 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# Channel gains d^-alpha that underflow to 0 (about 1e-400).
+UNDERFLOWING_GAINS = dict(distance_range=(1e200, 1e201), path_loss_exp=2.0)
+
+
+def overflowing_instance():
+    """N = 2, M = 4 with gains near 1e200, so that the noise covariance
+    C = H V H^H + sigma_n^2 I overflows."""
+    config = ScenarioConfig(n_sensors=2, n_antennas=4, distance_range=(1e-200, 1e-199))
+    scn = sample_scenario(config, RngStream(3, 0))
+    return scn, generate_channel(scn, RngStream(3, 1))
+
+
 class TestConfigValidation:
     def test_decreasing_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,6 +66,19 @@ class TestConfigValidation:
     def test_repeated_strategy_rejected(self):
         with pytest.raises(ConfigurationError, match="must not repeat"):
             small_config(strategies=(PhaseStrategy("sdp"), PhaseStrategy("sdp")))
+
+    @pytest.mark.parametrize("make", [small_config, ConcentrationConfig],
+                             ids=["experiment", "concentration"])
+    @pytest.mark.parametrize("field,value,match", [
+        ("distance_range", (7.0, 2.0), "positive interval"),
+        ("sensor_noise_range", (0.0, 0.01), "positive interval"),
+        ("fc_noise_power", 0.0, "must be positive"),
+        ("path_loss_exp", np.nan, "must be finite"),
+        ("distance_range", (2.0, np.inf), "must be finite"),
+    ])
+    def test_bad_scenario_parameter_rejected_when_built(self, make, field, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make(**{field: value})
 
 
 class TestRunSweep:
@@ -251,6 +276,11 @@ class TestVerifyUnbiasedness:
         assert rep.sample_variance == pytest.approx(rep.predicted_variance,
                                                     rel=0.10)
 
+    def test_overflowing_covariance_is_degenerate(self):
+        scn, ch = overflowing_instance()
+        with pytest.raises(DegenerateInstanceError, match="overflows"):
+            verify_unbiasedness(scn, ch, np.ones(2), 10, RngStream(8, 0))
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
         scn, ch = self._instance()
@@ -300,6 +330,11 @@ class TestVerifyUnbiasedness:
 
 
 class TestConcentration:
+    def test_underflowing_gains_are_degenerate(self):
+        config = ConcentrationConfig(values=(8,), n_draws=2, **UNDERFLOWING_GAINS)
+        with pytest.raises(DegenerateInstanceError, match="underflow"):
+            verify_diagonal_concentration(config)
+
     def test_sensor_mode_decay(self):
         rep = verify_diagonal_concentration(ConcentrationConfig(
             values=(500, 2000), n_draws=30, master_seed=2))

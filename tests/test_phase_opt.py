@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasefuse.asymptotics import AsymptoticInputs, single_antenna_upper_bound
+from phasefuse.asymptotics import single_antenna_upper_bound
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError
 from phasefuse.estimator import fisher_matrix
@@ -159,8 +159,7 @@ class TestFeedbackRound:
             scn, ch = self._instance(n=6, m=1, seed=seed)
             rep = feedback_round(ch, scn, PhaseStrategy(SDP_RELAXATION),
                                  RngStream(11, seed))
-            expected = single_antenna_upper_bound(
-                AsymptoticInputs.from_scenario(scn))
+            expected = single_antenna_upper_bound(scn)
             assert rep.achieved_variance == pytest.approx(expected, rel=1e-6)
 
     def test_grid_strategy_dispatch(self):
