@@ -18,11 +18,11 @@ from .errors import ConfigurationError
 from .rng import RngStream
 
 TWO_PI = 2.0 * np.pi
-# Rows of complex Gaussian noise made per step (complex_gaussian_blocks).
-# Measured on verify_unbiasedness at 20000 samples (median of 25 calls, 2-core
-# x86_64): the N = 30, M = 16 check took 56.0 ms at 128 rows, 53.2 ms at
-# 1024, 57.7 ms at 4096 and 68.9 ms in one block; the N = 4, M = 4 check
-# 14.7, 10.9, 10.5 and 11.2 ms.
+# Rows of noise parts drawn per step (gaussian_projection). Measured on
+# verify_unbiasedness at 20000 samples (median of 25 calls, 2-core x86_64):
+# the N = 30, M = 16 check took 33.8 ms at 256 rows, 32.6 ms at 1024 and
+# 31.9 ms at 4096, peaking at 0.65, 0.76 and 1.32 MiB (tracemalloc); the
+# N = 4, M = 4 check 10.3, 8.6 and 8.0 ms.
 NOISE_BLOCK_ROWS = 1024
 
 
@@ -154,48 +154,43 @@ def generate_channel(scenario: Scenario, rng: RngStream) -> ChannelRealization:
     return ChannelRealization(matrix=matrix, phases=phases)
 
 
-def complex_gaussian_blocks(gen: np.random.Generator, variances, shape: tuple[int, ...]):
-    """Yield ``(rows, block)`` pairs that together make ``complex_gaussian(gen,
-    variances, shape)``: ``block`` is that result's ``[rows]``, ``rows`` a
-    slice of the first axis, at most ``NOISE_BLOCK_ROWS`` long, in order.
-    ``variances`` broadcast along the last axis, so ``shape`` needs two axes
-    at least.
-
-    The random stream is the same: every real part is drawn, into an
-    8 bytes-per-sample buffer, when the first block is taken, then each
-    block's imaginary parts. Take every block before drawing anything else
-    from ``gen``. Every block is a view of one buffer: the caller may
-    overwrite it, and the next block does."""
-    real = gen.standard_normal(shape)
-    scale = np.sqrt(np.asarray(variances, dtype=float) / 2.0)
-    buffer = np.empty((min(shape[0], NOISE_BLOCK_ROWS), *shape[1:]), dtype=complex)
-    imag = np.empty(buffer.shape)
-    for start in range(0, shape[0], NOISE_BLOCK_ROWS):
-        rows = slice(start, start + NOISE_BLOCK_ROWS)
-        part = real[rows]
-        block = buffer[:len(part)]
-        block.real = part
-        block.imag = gen.standard_normal(out=imag[:len(part)])
-        # A complex product, as scale * (x + 1j y): scaling the halves as
-        # reals would give -0.0 where the product gives +0.0 at a zero
-        # variance.
-        block *= scale
-        yield rows, block
-
-
 def complex_gaussian(gen: np.random.Generator, variances, size) -> np.ndarray:
     """Circularly-symmetric CN(0, diag(variances)) draws of shape ``size``,
     ``variances`` broadcast along the last axis; variance split evenly
     between real and imaginary parts, every real part drawn first. Peak
-    memory is the result plus the real parts, 24 bytes per sample, plus one
-    block (tracemalloc, 20000 x 30 draws: 25.5 bytes per sample)."""
-    shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    # Blocks split the first axis; a 1-D shape's only axis is the variance
-    # axis, so it is made as one row.
-    out = np.empty(shape if len(shape) >= 2 else (1, *shape), dtype=complex)
-    for rows, block in complex_gaussian_blocks(gen, variances, out.shape):
-        out[rows] = block
-    return out.reshape(shape)
+    memory is the result plus one buffer of parts, 24 bytes per sample."""
+    real = gen.standard_normal(size)
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = gen.standard_normal(out=real)
+    # A complex product, as scale * (x + 1j y): scaling the halves as reals
+    # would give -0.0 where the product gives +0.0 at a zero variance.
+    out *= np.sqrt(np.asarray(variances, dtype=float) / 2.0)
+    return out
+
+
+def gaussian_projection(gen: np.random.Generator, variances, shape: tuple[int, ...],
+                        weights) -> np.ndarray:
+    """``complex_gaussian(gen, variances, shape) @ weights`` for a weight
+    vector, from the same draws in the same order, without making the noise:
+    every real part of the ``shape`` array in C order, then every imaginary
+    part, each ``NOISE_BLOCK_ROWS`` rows at a time; ``gen`` ends where
+    ``complex_gaussian`` leaves it. Only the association order differs, as
+    ``x @ (scale * w) + 1j y @ (scale * w)``. Peak memory is the result, 16
+    bytes per row, plus one block of parts."""
+    shape = tuple(shape)
+    rows = int(np.prod(shape[:-1]))
+    scaled = np.sqrt(np.asarray(variances, dtype=float) / 2.0) * np.asarray(weights)
+    out = np.zeros((rows, 2))
+    block = np.empty((min(rows, NOISE_BLOCK_ROWS), shape[-1]))
+    # One real GEMM per block: real parts x give x @ w as [Re, Im] side by
+    # side, imaginary parts y give 1j y @ w as y @ [-Im w, Re w].
+    for w in (np.stack([scaled.real, scaled.imag], axis=1),
+              np.stack([-scaled.imag, scaled.real], axis=1)):
+        for start in range(0, rows, NOISE_BLOCK_ROWS):
+            x = gen.standard_normal(out=block[:min(NOISE_BLOCK_ROWS, rows - start)])
+            out[start:start + len(x)] += x @ w
+    return out.view(complex).reshape(shape[:-1])
 
 
 @single_threaded()

@@ -21,7 +21,7 @@ from .channel import (
     Scenario,
     ScenarioConfig,
     ScenarioParams,
-    complex_gaussian_blocks,
+    gaussian_projection,
     generate_channel,
     sample_scenario,
 )
@@ -58,6 +58,16 @@ def _scenario_config(
     return ScenarioConfig(n_sensors=n, n_antennas=m, **config.params())
 
 
+def _sweep_values(name: str, values) -> tuple[int, ...]:
+    """``values`` as ints, checked nonempty, positive and strictly increasing."""
+    vals = tuple(int(v) for v in values)
+    if not vals or any(v < 1 for v in vals):
+        raise ConfigurationError(f"{name} must be nonempty positive integers")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ConfigurationError(f"{name} must be strictly increasing")
+    return vals
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(ScenarioParams):
     """Full description of one sweep experiment, with the scenario
@@ -75,12 +85,8 @@ class ExperimentConfig(ScenarioParams):
         super().__post_init__()
         if self.sweep not in (SENSOR_SWEEP, ANTENNA_SWEEP):
             raise ConfigurationError(f"unknown sweep kind {self.sweep!r}")
-        vals = tuple(int(v) for v in self.sweep_values)
-        object.__setattr__(self, "sweep_values", vals)
-        if not vals or any(v < 1 for v in vals):
-            raise ConfigurationError("sweep_values must be nonempty positive integers")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigurationError("sweep_values must be strictly increasing")
+        object.__setattr__(self, "sweep_values",
+                           _sweep_values("sweep_values", self.sweep_values))
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not self.strategies:
@@ -246,11 +252,12 @@ def verify_unbiasedness(
     variance. Sample variance is the total complex error power (real plus
     imaginary parts), which is what the variance formula predicts.
 
-    The noise is made a block of samples at a time, so peak memory is about
-    the real parts of the (trials, N) sensor noise plus the (trials, M)
-    complex received signals, 8 N + 16 M bytes per trial: 10.3 MiB at
-    N = 30, M = 16 and 20000 trials (tracemalloc), where drawing all of the
-    noise at once took 19.8 MiB."""
+    Each estimate g^H y / q is formed by linearity, without making y:
+    theta g^H H a / q, plus the sensor noise projected onto a * H^T g* / q
+    and the FC noise onto g* / q (``gaussian_projection``), from the draws
+    that synthesizing y takes. Peak memory is two estimate vectors, 32 bytes
+    per trial, plus one noise block: 0.76 MiB at N = 30, M = 16 and 20000
+    trials (tracemalloc), where synthesizing y took 10.3 MiB."""
     a = np.asarray(a, dtype=complex)
     h = channel.matrix
     gen = rng.generator()
@@ -260,39 +267,27 @@ def verify_unbiasedness(
 
     sv = scenario.sensor_noise_powers
     ha = h @ a
-    theta_ha = scenario.theta * ha
-    # y = (theta * ha + (a * v) @ h.T) + fc, summed in place in that order,
-    # one block of samples at a time; each noise block takes a * v in place.
-    # Every v block is drawn before fc's, as complex_gaussian draws them.
-    y = np.empty((t, scenario.n_antennas), dtype=complex)
-    for rows, v in complex_gaussian_blocks(gen, sv, (t, scenario.n_sensors)):
-        np.matmul(np.multiply(a, v, out=v), h.T, out=y[rows])
-        y[rows] += theta_ha
-    for rows, fc in complex_gaussian_blocks(
-            gen, scenario.fc_noise_power, (t, scenario.n_antennas)):
-        y[rows] += fc
-
     if scenario.fc_noise_power == 0 and np.all(sv == 0):
         g = ha  # noiseless limit: matched filter recovers theta exactly
     else:
         c = noise_covariance(channel, scenario)
         g = lapack.cho_solve(lapack.cho_factor(c), ha)
     q = float(np.real(np.vdot(ha, g)))
-    estimates = (y @ g.conj()) / q
+    gq = g.conj() / q
+    # Every sensor noise draw comes before the FC noise's, as synthesis draws.
+    estimates = gaussian_projection(gen, sv, (t, scenario.n_sensors), a * (h.T @ gq))
+    estimates += gaussian_projection(
+        gen, scenario.fc_noise_power, (t, scenario.n_antennas), gq)
+    estimates += scenario.theta * (ha @ gq)
 
     mean = complex(np.mean(estimates))
-    err = estimates - mean
+    err = np.subtract(estimates, mean, out=estimates)
     sample_var = float(np.sum(np.abs(err) ** 2) / max(t - 1, 1))
     predicted = 1.0 / q if q > 0 else 0.0
     std_of_mean = np.sqrt(predicted / t) if predicted > 0 else np.finfo(float).tiny
     z = abs(mean - scenario.theta) / std_of_mean
-    return UnbiasednessReport(
-        trials=t,
-        sample_mean=mean,
-        sample_variance=sample_var,
-        predicted_variance=predicted,
-        mean_z_score=float(z),
-    )
+    return UnbiasednessReport(trials=t, sample_mean=mean, sample_variance=sample_var,
+                              predicted_variance=predicted, mean_z_score=float(z))
 
 
 @dataclass(frozen=True)
@@ -302,6 +297,14 @@ class ConcentrationConfig(ScenarioParams):
     fixed_count: int = 4
     n_draws: int = 50
     master_seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode not in (SENSOR_SWEEP, ANTENNA_SWEEP):
+            raise ConfigurationError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "values", _sweep_values("values", self.values))
+        if self.fixed_count < 1 or self.n_draws < 1:
+            raise ConfigurationError("fixed_count and n_draws must be >= 1")
 
 
 @dataclass

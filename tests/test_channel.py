@@ -9,6 +9,7 @@ from phasefuse.channel import (
     Scenario,
     ScenarioConfig,
     complex_gaussian,
+    gaussian_projection,
     generate_channel,
     sample_scenario,
     synthesize_received_signal,
@@ -151,8 +152,9 @@ class TestComplexGaussian:
         assert got.tobytes() == ref.tobytes()
 
     def test_bytes_per_sample(self):
-        # Measured 25.5 bytes per sample: the 16-byte result, the 8-byte real
-        # parts and one block. Drawing all the normals at once took 32.
+        # Measured 24.2 bytes per sample: the 16-byte result and one 8-byte
+        # buffer of parts, reused for the imaginary parts. Drawing all the
+        # normals at once took 32.
         variances = np.linspace(0.001, 0.01, 30)
         gen = np.random.default_rng(14)
         complex_gaussian(gen, variances, (10, 30))  # warm caches
@@ -163,6 +165,30 @@ class TestComplexGaussian:
         finally:
             tracemalloc.stop()
         assert peak / out.size <= 28.0
+
+
+class TestGaussianProjection:
+    @pytest.mark.parametrize("variances,shape", [
+        (np.linspace(0.001, 0.01, 30), (20000, 30)),
+        (0.1, (NOISE_BLOCK_ROWS - 1, 16)),
+        (np.linspace(0.001, 0.01, 4), (2 * NOISE_BLOCK_ROWS + 1, 4)),
+        (np.linspace(0.001, 0.01, 5), (1, 5)),
+        (0.0, (300, 4)),
+        (np.array([0.0, 0.5, 0.0, 2.0]), (300, 4)),
+        (0.2, (7,)),
+        (0.2, (3, 40, 6)),
+    ], ids=["per_column", "scalar_block_minus_one", "two_blocks_plus_one", "one_row",
+            "zero", "some_zero_columns", "one_dim", "three_dim"])
+    def test_matches_complex_gaussian_product(self, variances, shape):
+        k = shape[-1]
+        w = np.linspace(1.0, 2.0, k) * np.exp(1j * np.arange(k))
+        gen_ref, gen = np.random.default_rng(15), np.random.default_rng(15)
+        ref = complex_gaussian(gen_ref, variances, shape) @ w
+        got = gaussian_projection(gen, variances, shape, w)
+        assert np.shape(got) == np.shape(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # gen is left where complex_gaussian leaves it.
+        assert gen.standard_normal(3).tobytes() == gen_ref.standard_normal(3).tobytes()
 
 
 class TestSynthesize:
