@@ -24,9 +24,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import sdp
 from .channel import ScenarioConfig, ScenarioParams, generate_channel, sample_scenario
 from .errors import ConfigurationError, PhasefuseError
-from .estimator import fisher_matrix
+from .estimator import fisher_matrix, noise_covariance
 from .montecarlo import (
     ANTENNA_SWEEP,
     DEFAULT_STRATEGIES,
@@ -371,6 +372,25 @@ def _cmd_selftest(_args) -> int:
         err = np.linalg.norm(fisher_matrix(channel, scenario) - direct)
         ok &= bool(err <= 1e-10 * max(1.0, np.linalg.norm(direct)))
     check("matrix-inversion-lemma identity", ok)
+
+    # Single antenna: B = h^H h / c has rank one, so solve certifies a a^H
+    # (a one-column factor) and the rounding co-phases the sensors,
+    # a_i = conj(h_i) / |h_i| up to a global phase, at (sum |h_i|)^2 / c.
+    stream = RngStream(3, 0)
+    scenario = sample_scenario(ScenarioConfig(n_sensors=30, n_antennas=1), stream.child(0))
+    channel = generate_channel(scenario, stream.child(1))
+    b = fisher_matrix(channel, scenario)
+    h = channel.matrix[0]
+    c = float(np.real(noise_covariance(channel, scenario)[0, 0]))
+    problem = sdp.SdpProblem(b)
+    solution = sdp.solve(problem)
+    a = sdp.extract_rank_one(solution, problem, stream.child(2))
+    ratio = a * np.abs(h) / h.conj()
+    value = float(np.real(np.vdot(a, b @ a)))
+    check("single-antenna co-phasing",
+          solution.factor.shape == (30, 1)
+          and bool(np.all(np.abs(ratio - ratio[0]) <= 1e-12))
+          and abs(value - np.sum(np.abs(h)) ** 2 / c) <= 1e-12 * value)
 
     # Relaxation sandwich on random PSD instances.
     gen = np.random.default_rng(1)

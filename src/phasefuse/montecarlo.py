@@ -59,9 +59,14 @@ def _scenario_config(
 
 
 def _sweep_values(name: str, values) -> tuple[int, ...]:
-    """``values`` as ints, checked nonempty, positive and strictly increasing."""
-    vals = tuple(int(v) for v in values)
-    if not vals or any(v < 1 for v in vals):
+    """``values`` as ints, checked nonempty, integral, positive and strictly
+    increasing."""
+    values = tuple(values)
+    try:
+        vals = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf or not a number
+        vals = ()
+    if not vals or vals != values or any(v < 1 for v in vals):
         raise ConfigurationError(f"{name} must be nonempty positive integers")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing")
@@ -87,6 +92,8 @@ class ExperimentConfig(ScenarioParams):
             raise ConfigurationError(f"unknown sweep kind {self.sweep!r}")
         object.__setattr__(self, "sweep_values",
                            _sweep_values("sweep_values", self.sweep_values))
+        if self.fixed_count < 1:
+            raise ConfigurationError("fixed_count must be >= 1")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not self.strategies:

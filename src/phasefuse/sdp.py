@@ -38,6 +38,15 @@ instances. Any other instance runs the IPM with the
 same bits as without the attempt: the IPM starts from its own
 ``eigvalsh(B)``, not from the certificate's ``eigh(B)``, whose eigenvalues
 can differ in the last bit.
+
+Every solution carries a factor V of its gram, ``gram = V V^H``, which is
+all ``extract_rank_one`` reads of it. A certified solution's factor is
+``a[:, None]`` and its smallest eigenvalue is 0 by construction, so a
+certified solve makes two eigensolves (the certificate's ``eigh(B)`` and its
+dual ``eigvalsh``) and the rounding none. The IPM's final X is
+eigendecomposed once, ``V = U sqrt(w)`` with eigenvalues below
+``EIG_CLIP_REL * lambda_max`` clipped to zero, and ``min_eigenvalue`` is
+the unclipped ``w[0]``.
 """
 
 from __future__ import annotations
@@ -88,9 +97,16 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
-    """Relaxed optimum with feasibility and optimality certificates."""
+    """Relaxed optimum with feasibility and optimality certificates.
+
+    ``factor`` V is ``a[:, None]`` for a certified ``a a^H``, and ``U
+    sqrt(w)`` from the eigendecomposition of an interior-point gram, where
+    ``V V^H`` is the gram up to the eigenvalues clipped below
+    ``EIG_CLIP_REL * lambda_max``.
+    """
 
     gram: np.ndarray          # A*, N x N Hermitian PSD, unit diagonal
+    factor: np.ndarray        # V, N x k, gram = V V^H; last column leading
     objective_value: float    # tr(B A*)
     duality_gap: float        # e^T y - tr(B A*) = <A*, Z> >= 0
     diag_residual: float      # max_i |A*_{ii} - 1|
@@ -132,13 +148,17 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def _solution(x: np.ndarray, objective: float, gap: float, iterations: int) -> SdpSolution:
+def _solution(
+    x: np.ndarray, factor: np.ndarray, min_eigenvalue: float,
+    objective: float, gap: float, iterations: int,
+) -> SdpSolution:
     return SdpSolution(
         gram=x,
+        factor=factor,
         objective_value=objective,
         duality_gap=max(gap, 0.0),
         diag_residual=float(np.max(np.abs(np.real(np.diag(x)) - 1.0))),
-        min_eigenvalue=float(np.min(lapack.eigvalsh(x))),
+        min_eigenvalue=min_eigenvalue,
         iterations=iterations,
     )
 
@@ -167,7 +187,8 @@ def _rank_one_certificate(b: np.ndarray, gap_tol: float) -> SdpSolution | None:
     gap = float(np.sum(y)) + n * max(-slack_min, 0.0) - obj
     if not gap <= gap_tol * max(1.0, abs(obj)):
         return None
-    return _solution(np.outer(a, a.conj()), obj, gap, steps)
+    # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0: no eigensolve.
+    return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
 
 
 def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution:
@@ -222,7 +243,11 @@ def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution
         z = _herm(z + ad * dz)
         gap = float(np.real(np.trace(x @ z)))
 
-    return _solution(x, float(np.real(np.trace(b @ x))), gap, iterations)
+    # One eigendecomposition of the final X gives the factor, with the
+    # eigenvalues below EIG_CLIP_REL * lambda_max clipped, and lambda_min.
+    w, u = lapack.eigh(x)
+    factor = u * np.sqrt(np.where(w < EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w))
+    return _solution(x, factor, float(w[0]), float(np.real(np.trace(b @ x))), gap, iterations)
 
 
 @single_threaded()
@@ -244,7 +269,8 @@ def solve(
     """
     b = problem.objective
     if problem.dimension == 1:
-        return _solution(np.ones((1, 1), dtype=complex), float(np.real(b[0, 0])), 0.0, 0)
+        one = np.ones((1, 1), dtype=complex)
+        return _solution(one, one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
 
     sol = _rank_one_certificate(b, gap_tol)
     if sol is None:
@@ -271,29 +297,29 @@ def extract_rank_one(
     rng: RngStream,
     num_candidates: int = 100,
 ) -> np.ndarray:
-    """Round the relaxed Gram matrix A* to a unit-modulus vector.
+    """Round the relaxed optimum to a unit-modulus vector.
 
-    Factor A* = C^H C via eigendecomposition (negative eigenvalues clipped),
-    draw random unit-modulus vectors r and phase-normalize C^H r. The leading
-    eigenvector of A* and the all-ones vector are always in the candidate
-    pool; the candidate with the largest a^H B a wins (first encountered on
-    ties), so the result never underperforms the no-feedback baseline.
+    With the factor V of ``gram = V V^H`` (N x k, see ``SdpSolution``), draw
+    random unit-modulus vectors r of length k and phase-normalize V r; no
+    eigendecomposition is made here. The phase-normalized leading column of
+    V (the leading eigenvector of A*) and the all-ones vector are always in
+    the candidate pool; the candidate with the largest a^H B a wins (first
+    encountered on ties), so the result never underperforms the
+    no-feedback baseline. For a certified a a^H (k = 1) every random
+    candidate is a up to a global phase.
     """
     b = problem.objective
     n = problem.dimension
-    w, u = lapack.eigh(solution.gram)
-    w = np.where(w < EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w)
+    v = solution.factor
 
     gen = rng.generator()
-    candidates = [phase_normalize(u[:, -1]), np.ones(n, dtype=complex)]
+    candidates = [phase_normalize(v[:, -1]), np.ones(n, dtype=complex)]
     if num_candidates > 0:
-        thetas = gen.uniform(0.0, 2.0 * np.pi, size=(num_candidates, n))
+        thetas = gen.uniform(0.0, 2.0 * np.pi, size=(num_candidates, v.shape[1]))
         r = np.exp(1j * thetas)  # rows are random unit-modulus vectors
-        # C^H r^T with C = diag(sqrt(w)) U^H  =>  U (sqrt(w) * r_k)
-        mixed = (u * np.sqrt(w)[np.newaxis, :]) @ r.T  # (n, num_candidates)
-        candidates.append(phase_normalize(mixed))
+        candidates.append(phase_normalize(v @ r.T))  # (n, num_candidates)
 
     pool = np.column_stack(candidates)  # (n, K)
-    vals = np.real(np.einsum("ik,ij,jk->k", pool.conj(), b, pool))
+    vals = np.real(np.sum(pool.conj() * (b @ pool), axis=0))
     best = int(np.argmax(vals))
     return pool[:, best]

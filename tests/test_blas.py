@@ -205,7 +205,7 @@ SCOPED = [
     ("synthesize_received_signal", channel, "complex_gaussian", _call_synthesize),
     ("eigenvector_rounding", lapack, "eigh", _call_eigenvector_rounding),
     ("feedback_round", phase_opt, "fisher_matrix", _call_feedback_round),
-    ("extract_rank_one", lapack, "eigh", _call_extract_rank_one),
+    ("extract_rank_one", phasefuse.sdp, "phase_normalize", _call_extract_rank_one),
     ("run_sweep", montecarlo, "fisher_matrix", _call_run_sweep),
     ("verify_unbiasedness", montecarlo, "noise_covariance", _call_verify_unbiasedness),
     ("verify_diagonal_concentration", montecarlo, "generate_channel",
@@ -239,8 +239,9 @@ def test_noise_covariance_runs_single_threaded():
 
 
 def _raise_extract_rank_one():
+    # A factor with fewer rows than B has cannot make a candidate pool.
     problem = SdpProblem(objective=fisher())
-    solution = dataclasses.replace(solve(problem), gram=np.full((6, 6), np.nan))
+    solution = dataclasses.replace(solve(problem), factor=np.ones((5, 1), dtype=complex))
     phasefuse.sdp.extract_rank_one(solution, problem, RngStream(5, 2))
 
 

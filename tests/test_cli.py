@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from phasefuse import cli, lapack
+from phasefuse import cli, lapack, sdp
 from phasefuse.cli import (
     CSV_HEADER,
     build_parser,
@@ -364,6 +364,14 @@ class TestCommands:
         assert main(["selftest"]) == 1
         assert "[FAIL] matrix-inversion-lemma identity" in capsys.readouterr().out
         assert hits
+
+    def test_selftest_fails_without_a_certified_single_antenna_solve(self, monkeypatch,
+                                                                     capsys):
+        # With the certificate gone the IPM solves the M = 1 instance, and its
+        # factor is N x N, not the certified one column.
+        monkeypatch.setattr(sdp, "_rank_one_certificate", lambda b, gap_tol: None)
+        assert main(["selftest"]) == 1
+        assert "[FAIL] single-antenna co-phasing" in capsys.readouterr().out
 
     def test_oracle_beyond_grid_limit_exits_1(self, capsys):
         assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1

@@ -63,6 +63,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(trials=0)
 
+    def test_zero_fixed_count_rejected_when_built(self):
+        with pytest.raises(ConfigurationError, match="fixed_count must be >= 1"):
+            small_config(fixed_count=0)
+
+    @pytest.mark.parametrize("make,field", [(small_config, "sweep_values"),
+                                            (ConcentrationConfig, "values")],
+                             ids=["experiment", "concentration"])
+    @pytest.mark.parametrize("values", [(2.7,), (2, 4.5), (np.nan,), (2, np.inf)])
+    def test_non_integral_sweep_value_rejected(self, make, field, values):
+        with pytest.raises(ConfigurationError, match=f"{field} must be nonempty positive"):
+            make(**{field: values})
+
+    @pytest.mark.parametrize("make,field", [(small_config, "sweep_values"),
+                                            (ConcentrationConfig, "values")],
+                             ids=["experiment", "concentration"])
+    def test_integral_sweep_values_become_ints(self, make, field):
+        values = getattr(make(**{field: (2, 4.0, np.int64(6), np.float64(8.0))}), field)
+        assert values == (2, 4, 6, 8)
+        assert all(type(v) is int for v in values)
+
     def test_repeated_strategy_rejected(self):
         with pytest.raises(ConfigurationError, match="must not repeat"):
             small_config(strategies=(PhaseStrategy("sdp"), PhaseStrategy("sdp")))

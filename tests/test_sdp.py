@@ -275,6 +275,86 @@ class TestRankOneCertificate:
         assert sol.objective_value == pytest.approx(certified.objective_value, rel=1e-7)
 
 
+def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
+    """The rounding before ``SdpSolution`` carried a factor: it
+    eigendecomposes the gram itself and scores each candidate with a
+    three-operand einsum."""
+    b = problem.objective
+    n = problem.dimension
+    w, u = lapack.eigh(solution.gram)
+    w = np.where(w < sdp.EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w)
+    gen = rng.generator()
+    candidates = [phase_normalize(u[:, -1]), np.ones(n, dtype=complex)]
+    thetas = gen.uniform(0.0, 2.0 * np.pi, size=(num_candidates, n))
+    r = np.exp(1j * thetas)
+    candidates.append(phase_normalize((u * np.sqrt(w)[np.newaxis, :]) @ r.T))
+    pool = np.column_stack(candidates)
+    vals = np.real(np.einsum("ik,ij,jk->k", pool.conj(), b, pool))
+    return pool[:, int(np.argmax(vals))]
+
+
+# Fisher instances (N, M = 4, seed) that the certificate declines.
+IPM_INSTANCES = [(10, 4), (10, 8), (30, 0), (30, 1), (30, 4), (30, 5)]
+
+
+class TestFactor:
+    """``SdpSolution.factor`` V carries gram = V V^H, and the rounding draws
+    its candidates from it without an eigendecomposition of its own."""
+
+    @pytest.mark.parametrize("n,m,seed", [(2, 4, 0), (10, 4, 1), (30, 1, 3), (100, 1, 3)])
+    def test_certified_factor_is_a(self, n, m, seed):
+        problem = SdpProblem(fisher_instance(n, m, seed)[0])
+        sol = solve(problem)
+        assert_certified(sol, problem)
+        assert sol.factor.shape == (n, 1)
+        assert sol.min_eigenvalue == 0.0
+        a = sol.factor[:, 0]
+        np.testing.assert_array_equal(sol.gram, np.outer(a, a.conj()))
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(sol.factor @ sol.factor.conj().T, sol.gram,
+                                   rtol=0.0, atol=4 * eps)
+
+    @pytest.mark.parametrize("n,seed", IPM_INSTANCES)
+    def test_interior_point_factor_up_to_clipped_part(self, n, seed):
+        problem = SdpProblem(fisher_instance(n, 4, seed)[0])
+        assert certificate_declines(problem)
+        sol = solve(problem)
+        assert sol.factor.shape == (n, n)
+        w = lapack.eigh(sol.gram)[0]
+        assert sol.min_eigenvalue == w[0]
+        # V V^H drops the eigenvalues below EIG_CLIP_REL * lambda_max.
+        clipped = w[w < sdp.EIG_CLIP_REL * w[-1]]
+        bound = np.max(np.abs(clipped), initial=0.0) + 16 * n * np.finfo(float).eps * w[-1]
+        assert np.abs(sol.factor @ sol.factor.conj().T - sol.gram).max() <= bound
+
+    def test_rounding_makes_no_eigensolve(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(lapack, name)
+            monkeypatch.setattr(lapack, name, lambda a, name=name, real=real:
+                                (calls.append(name), real(a))[1])
+        ipm_problem = SdpProblem(fisher_instance(30, 4, 0)[0])
+        ipm = solve(ipm_problem)
+        problem = SdpProblem(fisher_instance(100, 1, 3)[0])
+        calls.clear()
+        certified = solve(problem)
+        assert calls == ["eigh", "eigvalsh"]  # the certificate's start and dual
+        extract_rank_one(certified, problem, RngStream(0, 0))
+        extract_rank_one(ipm, ipm_problem, RngStream(0, 0))
+        assert calls == ["eigh", "eigvalsh"]
+
+    @pytest.mark.parametrize("n,seed", IPM_INSTANCES)
+    def test_interior_point_rounding_matches_reference(self, n, seed):
+        b = fisher_instance(n, 4, seed)[0]
+        problem = SdpProblem(b)
+        assert certificate_declines(problem)
+        sol = solve(problem)
+        for k in range(4):
+            value = quad(extract_rank_one(sol, problem, RngStream(seed, k)), b)
+            expected = quad(reference_extract_rank_one(sol, problem, RngStream(seed, k)), b)
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 class TestDirectLapack:
     """The IPM's LAPACK calls (``phasefuse.lapack``) give scipy.linalg's
     results bit for bit, for real and complex input."""
@@ -347,7 +427,7 @@ class TestExtractRankOne:
         b = random_psd(gen, n)
         problem = SdpProblem(objective=b)
         from phasefuse.sdp import SdpSolution
-        sol = SdpSolution(gram=gram, objective_value=quad(a_true, b),
+        sol = SdpSolution(gram=gram, factor=a_true[:, None], objective_value=quad(a_true, b),
                           duality_gap=0.0, diag_residual=0.0,
                           min_eigenvalue=0.0, iterations=0)
         a = extract_rank_one(sol, problem, RngStream(0, 0))
