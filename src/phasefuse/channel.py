@@ -35,9 +35,20 @@ def check_finite(obj: object, names: tuple[str, ...]) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
-def _check_counts(obj: object) -> None:
-    if obj.n_sensors < 1 or obj.n_antennas < 1:
-        raise ConfigurationError("n_sensors and n_antennas must be >= 1")
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int if it is a whole number >= ``minimum`` (4.0 passes)."""
+    try:
+        if int(value) == value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf or not a number
+        pass
+    raise ConfigurationError(f"{name} must be >= {minimum} and integral, got {value!r}")
+
+
+def set_counts(obj: object, names: tuple[str, ...], minimum: int = 1) -> None:
+    """Store each named field of the frozen ``obj`` as ``check_count`` returns it."""
+    for name in names:
+        object.__setattr__(obj, name, check_count(name, getattr(obj, name), minimum))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -57,6 +68,8 @@ class ScenarioParams:
                             "sensor_noise_range"))
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
+        if self.path_loss_exp < 0:
+            raise ConfigurationError("noise powers and path_loss_exp must be nonnegative")
         for name, (lo, hi) in (
             ("distance_range", self.distance_range),
             ("sensor_noise_range", self.sensor_noise_range),
@@ -77,12 +90,10 @@ class ScenarioConfig(ScenarioParams):
 
     n_sensors: int
     n_antennas: int
-    theta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        _check_counts(self)
+        set_counts(self, ("n_sensors", "n_antennas"))
         super().__post_init__()
-        check_finite(self, ("theta",))
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class Scenario:
     theta: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        _check_counts(self)
+        set_counts(self, ("n_sensors", "n_antennas"))
         d = np.asarray(self.distances, dtype=float)
         sv = np.asarray(self.sensor_noise_powers, dtype=float)
         object.__setattr__(self, "distances", d)
@@ -126,7 +137,7 @@ class ChannelRealization:
 
 
 def sample_scenario(config: ScenarioConfig, rng: RngStream) -> Scenario:
-    """Draw d_i and sigma_{v,i}^2 uniformly from the config ranges."""
+    """Draw d_i and sigma_{v,i}^2 uniformly from the config ranges (theta = 1)."""
     gen = rng.generator()
     n = config.n_sensors
     d = gen.uniform(config.distance_range[0], config.distance_range[1], size=n)
@@ -138,7 +149,6 @@ def sample_scenario(config: ScenarioConfig, rng: RngStream) -> Scenario:
         fc_noise_power=config.fc_noise_power,
         distances=d,
         sensor_noise_powers=sv,
-        theta=config.theta,
     )
 
 

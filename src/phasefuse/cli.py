@@ -9,8 +9,8 @@ Subcommands:
   selftest  quick closed-form / identity / sandwich checks
 
 Exit status: 0 success, 1 runtime or I/O failure, 2 usage error (including
-a count below 1, an unknown strategy and a plot script for JSON output or
-without --output).
+a count below 1, a negative seed, an unknown strategy and a plot script for
+JSON output or without --output).
 """
 
 from __future__ import annotations
@@ -74,11 +74,15 @@ FIG1_SWEEP = tuple(range(2, 31, 2))
 FIG2_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-def _parse_count(text: str) -> int:
+def _parse_count(text: str, minimum: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return value
+
+
+def _parse_seed(text: str) -> int:
+    return _parse_count(text, minimum=0)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -106,7 +110,7 @@ def _parse_strategies(text: str) -> tuple[PhaseStrategy, ...]:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     defaults = ScenarioParams()
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--alpha", type=float, default=defaults.path_loss_exp)
     p.add_argument("--fc-noise", type=float, default=defaults.fc_noise_power)
     p.add_argument("--dist-range", type=_parse_range, default=defaults.distance_range)
@@ -254,16 +258,15 @@ print("wrote", {png_path!r})
 """
 
 
-def emit_plot_script(result: SweepResult, path: str, csv_path: str | None) -> None:
-    """Write a self-contained matplotlib script that renders the sibling CSV."""
+def emit_plot_script(result: SweepResult, path: str, csv_path: str) -> None:
+    """Write a self-contained matplotlib script that renders ``csv_path``."""
     xlabel = "number of sensors N" if result.sweep_param == SENSOR_SWEEP \
         else "number of FC antennas M"
-    csv_name = csv_path if csv_path is not None else "results.csv"
     # figure name derives from the CSV, so the script bytes depend only on
     # the result contents, not on where the script itself is written
-    png_name = csv_name.rsplit(".", 1)[0] + ".png"
+    png_name = csv_path.rsplit(".", 1)[0] + ".png"
     _write_text(
-        PLOT_TEMPLATE.format(csv_path=csv_name, xlabel=xlabel, png_path=png_name), path
+        PLOT_TEMPLATE.format(csv_path=csv_path, xlabel=xlabel, png_path=png_name), path
     )
 
 

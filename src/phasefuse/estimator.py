@@ -83,8 +83,8 @@ def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b @ a)))
 
 
-def check_unit_modulus(a: np.ndarray, tol: float = 1e-12) -> None:
-    if np.max(np.abs(np.abs(a) - 1.0)) > tol:
+def check_unit_modulus(a: np.ndarray) -> None:
+    if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
         raise ConfigurationError("phase vector entries must have unit modulus")
 
 

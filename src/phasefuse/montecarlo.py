@@ -21,9 +21,11 @@ from .channel import (
     Scenario,
     ScenarioConfig,
     ScenarioParams,
+    check_count,
     gaussian_projection,
     generate_channel,
     sample_scenario,
+    set_counts,
 )
 from .errors import ConfigurationError, ConvergenceError, DegenerateInstanceError
 from .estimator import (
@@ -61,12 +63,11 @@ def _scenario_config(
 def _sweep_values(name: str, values) -> tuple[int, ...]:
     """``values`` as ints, checked nonempty, integral, positive and strictly
     increasing."""
-    values = tuple(values)
     try:
-        vals = tuple(int(v) for v in values)
-    except (TypeError, ValueError, OverflowError):  # NaN, inf or not a number
+        vals = tuple(check_count(name, v) for v in values)
+    except ConfigurationError:
         vals = ()
-    if not vals or vals != values or any(v < 1 for v in vals):
+    if not vals:
         raise ConfigurationError(f"{name} must be nonempty positive integers")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing")
@@ -92,10 +93,8 @@ class ExperimentConfig(ScenarioParams):
             raise ConfigurationError(f"unknown sweep kind {self.sweep!r}")
         object.__setattr__(self, "sweep_values",
                            _sweep_values("sweep_values", self.sweep_values))
-        if self.fixed_count < 1:
-            raise ConfigurationError("fixed_count must be >= 1")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        set_counts(self, ("fixed_count", "trials"))
+        set_counts(self, ("master_seed",), minimum=0)
         if not self.strategies:
             raise ConfigurationError("at least one strategy is required")
         # Results are keyed by label, so a repeat would overwrite its twin.
@@ -267,10 +266,8 @@ def verify_unbiasedness(
     trials (tracemalloc), where synthesizing y took 10.3 MiB."""
     a = np.asarray(a, dtype=complex)
     h = channel.matrix
+    t = check_count("trials", trials)
     gen = rng.generator()
-    t = int(trials)
-    if t < 1:
-        raise ConfigurationError("trials must be >= 1")
 
     sv = scenario.sensor_noise_powers
     ha = h @ a
@@ -310,8 +307,10 @@ class ConcentrationConfig(ScenarioParams):
         if self.mode not in (SENSOR_SWEEP, ANTENNA_SWEEP):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "values", _sweep_values("values", self.values))
-        if self.fixed_count < 1 or self.n_draws < 1:
-            raise ConfigurationError("fixed_count and n_draws must be >= 1")
+        for name in ("fixed_count", "n_draws"):  # one message for both
+            object.__setattr__(self, name, check_count("fixed_count and n_draws",
+                                                       getattr(self, name)))
+        set_counts(self, ("master_seed",), minimum=0)
 
 
 @dataclass
@@ -333,9 +332,9 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
     """Empirical decay of the off-diagonal terms of (1/N) H V H^H (sensor
     mode) or (1/M) H^H H (antenna mode) as the averaged dimension grows."""
     points: list[ConcentrationPoint] = []
+    square = config.fixed_count > 1  # the Gram is fixed_count x fixed_count
     for p, value in enumerate(config.values):
         scn_config = _scenario_config(config, config.mode, value)
-        applicable = value > 1
         rels = np.zeros(config.n_draws)
         for t in range(config.n_draws):
             stream = RngStream(config.master_seed, p * config.n_draws + t)
@@ -350,13 +349,13 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
             if diag_mean <= 0:
                 raise DegenerateInstanceError("the channel gains underflow to zero")
             off = g - np.diag(np.diag(g))
-            rels[t] = float(np.max(np.abs(off))) / diag_mean if g.shape[0] > 1 else np.nan
+            rels[t] = float(np.max(np.abs(off))) / diag_mean if square else np.nan
         points.append(
             ConcentrationPoint(
                 value=value,
-                applicable=applicable and g.shape[0] > 1,
+                applicable=value > 1 and square,
                 rel_offdiag=rels,
-                median=float(np.nanmedian(rels)),
+                median=float(np.nanmedian(rels)) if square else np.nan,
             )
         )
     return ConcentrationReport(mode=config.mode, points=points)

@@ -53,7 +53,6 @@ class OptimizationReport:
     achieved_variance: float
     lower_bound: float
     relaxation_value: float | None
-    strategy: PhaseStrategy
 
 
 def optimize_phases_n2(b: np.ndarray) -> np.ndarray:
@@ -71,19 +70,18 @@ def optimize_phases_n2(b: np.ndarray) -> np.ndarray:
     return np.array([b12 / abs(b12), 1.0], dtype=complex)
 
 
-def grid_search(b: np.ndarray, step_deg: float | None = None) -> tuple[np.ndarray, float]:
+def grid_search(b: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive search over quantized relative phases (first phase fixed
-    to 0). Returns (best vector, best quadratic form). Guarded to N <= 4."""
+    to 0): a 1 degree grid for N <= 3 and a 4 degree grid for N = 4.
+    Returns (best vector, best quadratic form). Guarded to N <= 4."""
     b = np.asarray(b)
     n = b.shape[0]
     if n > _GRID_MAX_SENSORS:
         raise ConfigurationError(f"grid oracle limited to N <= {_GRID_MAX_SENSORS}")
-    if step_deg is None:
-        step_deg = 1.0 if n <= 3 else 4.0
     if n == 1:
         return np.ones(1, dtype=complex), float(np.real(b[0, 0]))
 
-    steps = int(round(360.0 / step_deg))
+    steps = 360 if n <= 3 else 90
     phi = 2.0 * np.pi * np.arange(steps) / steps
     grids = np.meshgrid(*([phi] * (n - 1)), indexing="ij", sparse=True)
 
@@ -132,7 +130,6 @@ def optimize_phases(
         achieved_variance=estimator_variance(a, b),
         lower_bound=lower,
         relaxation_value=relaxation_value,
-        strategy=strategy,
     )
 
 

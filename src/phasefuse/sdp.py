@@ -22,8 +22,9 @@ The IPM's eigensolves, step lengths and Cholesky solves (``zheevr``,
 calls scipy's compiled wrappers with the arguments ``scipy.linalg`` would pick
 and a workspace query cached per N; the results are bit-identical.
 
-The stopping test is ``gap <= gap_tol * max(1, |tr(B A)|)``: relative to the
-objective when it exceeds 1, absolute below that.
+The stopping test is ``gap <= GAP_TOL * max(1, |tr(B A)|)``: relative to the
+objective when it exceeds 1, absolute below that. ``GAP_TOL``, ``MAX_ITER``
+and ``NUM_CANDIDATES`` are fixed values, read at call time.
 
 Before the IPM, ``solve`` tries to certify a rank-one optimum ``a a^H``. The
 candidate ``a`` is the phase of B's leading eigenvector, improved by
@@ -61,10 +62,11 @@ from .errors import ConfigurationError, ConvergenceError
 from .rng import RngStream
 
 HERMITIAN_TOL = 1e-12
-# Stop at gap <= DEFAULT_GAP_TOL * max(1, |objective|): an absolute tolerance
+# Stop at gap <= GAP_TOL * max(1, |objective|): an absolute tolerance
 # for objectives below 1, relative above; well inside the 1e-7 certificate.
-DEFAULT_GAP_TOL = 1e-9
-DEFAULT_MAX_ITER = 200
+GAP_TOL = 1e-9
+MAX_ITER = 200
+NUM_CANDIDATES = 100  # random candidates of the rank-one rounding
 EIG_CLIP_REL = 1e-12
 STEP_FRACTION = 0.98
 # The rank-one certificate's power iteration stops once a step raises
@@ -163,9 +165,9 @@ def _solution(
     )
 
 
-def _rank_one_certificate(b: np.ndarray, gap_tol: float) -> SdpSolution | None:
+def _rank_one_certificate(b: np.ndarray) -> SdpSolution | None:
     """A rank-one optimum ``a a^H`` certified by the dual bound described in
-    the module docstring, or None when the bound is not within ``gap_tol``.
+    the module docstring, or None when the bound is not within ``GAP_TOL``.
     The power steps use ``B + cI``, which is PSD, so they never lower
     ``a^H B a``."""
     n = b.shape[0]
@@ -185,13 +187,13 @@ def _rank_one_certificate(b: np.ndarray, gap_tol: float) -> SdpSolution | None:
     slack_min = float(lapack.eigvalsh(np.diag(y) - b)[0])
     # max(nan, 0.0) is nan, so a NaN eigenvalue fails the test below.
     gap = float(np.sum(y)) + n * max(-slack_min, 0.0) - obj
-    if not gap <= gap_tol * max(1.0, abs(obj)):
+    if not gap <= GAP_TOL * max(1.0, abs(obj)):
         return None
     # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0: no eigensolve.
     return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
 
 
-def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution:
+def _interior_point(b: np.ndarray) -> SdpSolution:
     """The primal-dual IPM from X = I (see the module docstring)."""
     n = b.shape[0]
     ones = np.ones(n)
@@ -203,9 +205,9 @@ def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution
 
     iterations = 0
     gap = float(np.real(np.trace(x @ z)))
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         obj = float(np.real(np.trace(b @ x)))
-        if gap <= gap_tol * max(1.0, abs(obj)):
+        if gap <= GAP_TOL * max(1.0, abs(obj)):
             iterations -= 1
             break
 
@@ -251,19 +253,15 @@ def _interior_point(b: np.ndarray, gap_tol: float, max_iter: int) -> SdpSolution
 
 
 @single_threaded()
-def solve(
-    problem: SdpProblem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
-    """Solve the unit-diagonal SDP relaxation to the requested duality gap.
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve the unit-diagonal SDP relaxation to the duality gap ``GAP_TOL``.
 
     First tries to certify a rank-one optimum (``iterations`` then counts
     its power steps); failing that, runs the interior-point method, which
-    stops once the duality gap is at most ``gap_tol * max(1, |tr(B A)|)``,
+    stops once the duality gap is at most ``GAP_TOL * max(1, |tr(B A)|)``,
     absolute, not relative, for objectives below 1. The IPM also stops when
     the step length can no longer be computed (an iterate lost numerical
-    definiteness or a NaN appeared), or after ``max_iter`` iterations.
+    definiteness or a NaN appeared), or after ``MAX_ITER`` iterations.
     Raises ConvergenceError (carrying the best iterate) if the gap then
     exceeds ``1e-7 * max(1, |tr(B A)|)``.
     """
@@ -272,9 +270,9 @@ def solve(
         one = np.ones((1, 1), dtype=complex)
         return _solution(one, one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
 
-    sol = _rank_one_certificate(b, gap_tol)
+    sol = _rank_one_certificate(b)
     if sol is None:
-        sol = _interior_point(b, gap_tol, max_iter)
+        sol = _interior_point(b)
     # Written so that a NaN gap (max(nan, 0.0) is nan) fails the certificate.
     if not sol.duality_gap <= 1e-7 * max(1.0, abs(sol.objective_value)):
         raise ConvergenceError(
@@ -292,34 +290,27 @@ def phase_normalize(c: np.ndarray) -> np.ndarray:
 
 @single_threaded()
 def extract_rank_one(
-    solution: SdpSolution,
-    problem: SdpProblem,
-    rng: RngStream,
-    num_candidates: int = 100,
+    solution: SdpSolution, problem: SdpProblem, rng: RngStream
 ) -> np.ndarray:
     """Round the relaxed optimum to a unit-modulus vector.
 
     With the factor V of ``gram = V V^H`` (N x k, see ``SdpSolution``), draw
-    random unit-modulus vectors r of length k and phase-normalize V r; no
-    eigendecomposition is made here. The phase-normalized leading column of
-    V (the leading eigenvector of A*) and the all-ones vector are always in
-    the candidate pool; the candidate with the largest a^H B a wins (first
-    encountered on ties), so the result never underperforms the
-    no-feedback baseline. For a certified a a^H (k = 1) every random
-    candidate is a up to a global phase.
+    ``NUM_CANDIDATES`` random unit-modulus vectors r of length k and
+    phase-normalize V r; no eigendecomposition is made here. The
+    phase-normalized leading column of V (the leading eigenvector of A*) and
+    the all-ones vector are always in the candidate pool; the candidate
+    with the largest a^H B a wins (first encountered on ties), so the result
+    never underperforms the no-feedback baseline. For a certified a a^H
+    (k = 1) every random candidate is a up to a global phase.
     """
     b = problem.objective
     n = problem.dimension
     v = solution.factor
 
-    gen = rng.generator()
-    candidates = [phase_normalize(v[:, -1]), np.ones(n, dtype=complex)]
-    if num_candidates > 0:
-        thetas = gen.uniform(0.0, 2.0 * np.pi, size=(num_candidates, v.shape[1]))
-        r = np.exp(1j * thetas)  # rows are random unit-modulus vectors
-        candidates.append(phase_normalize(v @ r.T))  # (n, num_candidates)
-
-    pool = np.column_stack(candidates)  # (n, K)
+    thetas = rng.generator().uniform(0.0, 2.0 * np.pi, size=(NUM_CANDIDATES, v.shape[1]))
+    r = np.exp(1j * thetas)  # rows are random unit-modulus vectors
+    pool = np.column_stack([  # (n, NUM_CANDIDATES + 2)
+        phase_normalize(v[:, -1]), np.ones(n, dtype=complex), phase_normalize(v @ r.T)])
     vals = np.real(np.sum(pool.conj() * (b @ pool), axis=0))
     best = int(np.argmax(vals))
     return pool[:, best]

@@ -76,7 +76,7 @@ def channel_fisher(n, m, seed, stream_index=0):
 def solve_and_round(b, stream):
     problem = SdpProblem(objective=b)
     sol = solve(problem)
-    a = extract_rank_one(sol, problem, stream, 100)
+    a = extract_rank_one(sol, problem, stream)
     return SolvedInstance(b=b, solution=sol, rounded=a)
 
 
@@ -100,7 +100,7 @@ def n3_instances():
         m = 2 if k % 2 == 0 else 4
         b, _, _, stream = channel_fisher(3, m, seed=200, stream_index=k)
         inst = solve_and_round(b, stream.child(2))
-        _, grid_val = grid_search(b, step_deg=1.0)
+        _, grid_val = grid_search(b)
         out.append((inst, grid_val))
     return out, time.time() - t0
 

@@ -53,13 +53,13 @@ def test_optimize_phases_runs_single_threaded(monkeypatch):
     assert counts() == [PRIOR] * len(blas._libraries())
 
 
-def test_restored_after_convergence_error():
+def test_restored_after_convergence_error(monkeypatch):
     # An instance without a certified rank-one optimum, so the IPM runs.
     b = random_psd(np.random.default_rng(1), 8)
-    assert phasefuse.sdp._rank_one_certificate(
-        SdpProblem(b).objective, phasefuse.sdp.DEFAULT_GAP_TOL) is None
+    assert phasefuse.sdp._rank_one_certificate(SdpProblem(b).objective) is None
+    monkeypatch.setattr(phasefuse.sdp, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
-        solve(SdpProblem(objective=b), max_iter=2)
+        solve(SdpProblem(objective=b))
     assert counts() == [PRIOR] * len(blas._libraries())
     best = info.value.best_solution
     assert best is not None and best.iterations == 2

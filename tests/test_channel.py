@@ -8,6 +8,7 @@ from phasefuse.channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    check_count,
     complex_gaussian,
     gaussian_projection,
     generate_channel,
@@ -74,11 +75,46 @@ class TestSampleScenario:
         ("fc_noise_power", np.inf),
         ("distance_range", (np.nan, 7.0)),
         ("sensor_noise_range", (0.001, np.inf)),
-        ("theta", complex(1.0, np.nan)),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
+
+    def test_negative_path_loss_rejected_when_built(self):
+        with pytest.raises(ConfigurationError,
+                           match="noise powers and path_loss_exp must be nonnegative"):
+            ScenarioConfig(n_sensors=2, n_antennas=2, path_loss_exp=-1.0)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), np.int32(3)])
+    def test_whole_numbers_become_ints(self, value):
+        count = check_count("n", value)
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [2.5, 0, -1, 0.0, np.nan, np.inf, -np.inf, "3",
+                                       None, 1 + 0j])
+    def test_others_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="n must be >= 1 and integral"):
+            check_count("n", value)
+
+    def test_minimum(self):
+        assert check_count("seed", 0, minimum=0) == 0
+        with pytest.raises(ConfigurationError, match="seed must be >= 0 and integral"):
+            check_count("seed", -1, minimum=0)
+
+    @pytest.mark.parametrize("field", ["n_sensors", "n_antennas"])
+    def test_scenario_counts(self, field):
+        counts = dict(n_sensors=2, n_antennas=2)
+        config = ScenarioConfig(**{**counts, field: 2.0})
+        assert type(getattr(config, field)) is int
+        rest = dict(path_loss_exp=1.0, fc_noise_power=0.1, distances=np.full(2, 3.0),
+                    sensor_noise_powers=np.full(2, 0.005))
+        assert type(getattr(Scenario(**{**counts, field: np.int64(2)}, **rest), field)) is int
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1 and integral"):
+            ScenarioConfig(**{**counts, field: 2.5})
+        with pytest.raises(ConfigurationError, match=f"{field} must be >= 1 and integral"):
+            Scenario(**{**counts, field: 2.5}, **rest)
 
 
 class TestGenerateChannel:

@@ -202,8 +202,6 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("csv_path,png_path,sha256", [
         ("out/fig1.csv", "out/fig1.png",
          "1905440a16cc9bfd8bafee2ea35b44f1c1217441cfcaae01c0adaaa309c598ef"),
-        (None, "results.png",
-         "93ffa53456e6775f955bf8c09786940d4e3bffb6f99b6906ee64c444d1bf7a85"),
     ])
     def test_plot_script(self, tmp_path, csv_path, png_path, sha256):
         path = tmp_path / "plot.py"
@@ -347,6 +345,30 @@ class TestCommands:
         assert "error: B = H^H C^{-1} H overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", [
+        ["fig1", "--sensors", "2", "--trials", "1"],
+        ["fig2", "--antennas", "1", "--trials", "1"],
+        ["run", "--sensors", "2", "--antennas", "2"],
+        ["oracle", "--instances", "1"],
+    ], ids=["fig1", "fig2", "run", "oracle"])
+    def test_negative_seed_exits_2(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(subcommand + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected an integer >= 0, got '-1'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand", ["fig1", "fig2"])
+    def test_negative_alpha_exits_1_before_the_sweep(self, subcommand, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main([subcommand, "--alpha", "-1"]) == 1
+        assert "error: noise powers and path_loss_exp must be nonnegative" \
+            in capsys.readouterr().err
+
     def test_selftest_fails_on_a_wrong_lemma_branch(self, monkeypatch, capsys):
         # selftest's Fisher instances all have M > N, so the only square
         # right-hand side is the lemma branch's G (N x N); the SDP's
@@ -369,7 +391,7 @@ class TestCommands:
                                                                      capsys):
         # With the certificate gone the IPM solves the M = 1 instance, and its
         # factor is N x N, not the certified one column.
-        monkeypatch.setattr(sdp, "_rank_one_certificate", lambda b, gap_tol: None)
+        monkeypatch.setattr(sdp, "_rank_one_certificate", lambda b: None)
         assert main(["selftest"]) == 1
         assert "[FAIL] single-antenna co-phasing" in capsys.readouterr().out
 

@@ -38,6 +38,14 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# Every count and seed field of the two configs.
+COUNT_FIELDS = [
+    (make, field) for make, fields in (
+        (small_config, ("fixed_count", "trials", "master_seed")),
+        (ConcentrationConfig, ("fixed_count", "n_draws", "master_seed")))
+    for field in fields
+]
+
 # Channel gains d^-alpha that underflow to 0 (about 1e-400).
 UNDERFLOWING_GAINS = dict(distance_range=(1e200, 1e201), path_loss_exp=2.0)
 
@@ -95,6 +103,7 @@ class TestConfigValidation:
         ("fc_noise_power", 0.0, "must be positive"),
         ("path_loss_exp", np.nan, "must be finite"),
         ("distance_range", (2.0, np.inf), "must be finite"),
+        ("path_loss_exp", -1.0, "noise powers and path_loss_exp must be nonnegative"),
     ])
     def test_bad_scenario_parameter_rejected_when_built(self, make, field, value, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -112,6 +121,23 @@ class TestConfigValidation:
     def test_bad_concentration_config_rejected(self, field, value, match):
         with pytest.raises(ConfigurationError, match=match):
             ConcentrationConfig(**{field: value})
+
+    @pytest.mark.parametrize("make", [small_config, ConcentrationConfig],
+                             ids=["experiment", "concentration"])
+    @pytest.mark.parametrize("seed", [-1, np.nan])
+    def test_bad_master_seed_rejected(self, make, seed):
+        with pytest.raises(ConfigurationError, match="master_seed must be >= 0 and integral"):
+            make(master_seed=seed)
+
+    @pytest.mark.parametrize("make,field", COUNT_FIELDS)
+    def test_non_integral_count_rejected(self, make, field):
+        with pytest.raises(ConfigurationError, match=r"must be >= [01] and integral, got 2\.5"):
+            make(**{field: 2.5})
+
+    @pytest.mark.parametrize("make,field", COUNT_FIELDS)
+    def test_integral_counts_become_ints(self, make, field):
+        value = getattr(make(**{field: np.float64(3.0)}), field)
+        assert value == 3 and type(value) is int
 
 
 class TestRunSweep:
@@ -321,6 +347,12 @@ class TestVerifyUnbiasedness:
         with pytest.raises(ConfigurationError, match="trials must be >= 1"):
             verify_unbiasedness(scn, ch, np.ones(4), trials, RngStream(8, 0))
 
+    def test_non_integral_trials_rejected(self):
+        # int() would truncate 2.5 to 2 trials.
+        scn, ch = self._instance()
+        with pytest.raises(ConfigurationError, match="trials must be >= 1 and integral"):
+            verify_unbiasedness(scn, ch, np.ones(4), 2.5, RngStream(8, 0))
+
     def test_theta_invariance_of_prediction(self):
         # predicted variance never depends on theta
         scn, ch = self._instance()
@@ -397,6 +429,16 @@ class TestConcentration:
         rep = verify_diagonal_concentration(ConcentrationConfig(
             values=(500, 2000), n_draws=30, master_seed=2))
         assert rep.points[0].median > rep.points[1].median
+
+    @pytest.mark.parametrize("mode", [SENSOR_SWEEP, ANTENNA_SWEEP])
+    def test_one_by_one_gram_is_nan_without_a_warning(self, mode):
+        # fixed_count = 1 gives a 1 x 1 Gram: no off-diagonal terms to measure.
+        rep = verify_diagonal_concentration(ConcentrationConfig(
+            mode=mode, values=(2, 8), fixed_count=1, n_draws=3))
+        for point in rep.points:
+            assert not point.applicable
+            assert np.isnan(point.median)
+            assert np.isnan(point.rel_offdiag).all()
 
     def test_antenna_mode_m1_not_applicable(self):
         rep = verify_diagonal_concentration(ConcentrationConfig(

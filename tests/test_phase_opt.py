@@ -66,7 +66,7 @@ class TestClosedFormN2:
 
 class TestGridSearch:
     def test_matches_closed_form_n2(self):
-        a, val = grid_search(PI3_B, step_deg=1.0)
+        a, val = grid_search(PI3_B)
         assert val == pytest.approx(3.0, rel=1e-4)
 
     def test_guard_large_n(self):
@@ -97,7 +97,7 @@ class TestOptimizePhases:
             b = random_psd(gen, 3)
             report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION),
                                      RngStream(1, k))
-            _, grid_val = grid_search(b, step_deg=1.0)
+            _, grid_val = grid_search(b)
             if report.achieved_variance <= 1.01 / grid_val:
                 hits += 1
         assert hits >= 29

@@ -98,5 +98,5 @@ def test_certified_optimum_matches_interior_point(instance):
     b, _ = instance
     problem = SdpProblem(objective=b)
     certified = solve(problem).objective_value
-    ipm = sdp._interior_point(problem.objective, sdp.DEFAULT_GAP_TOL, sdp.DEFAULT_MAX_ITER)
+    ipm = sdp._interior_point(problem.objective)
     assert abs(certified - ipm.objective_value) <= 1e-7 * abs(ipm.objective_value)

@@ -30,14 +30,14 @@ def quad(a, b):
     return float(np.real(np.vdot(a, b @ a)))
 
 
-def certificate_declines(problem, gap_tol=sdp.DEFAULT_GAP_TOL):
+def certificate_declines(problem):
     """True when ``solve`` goes on to the interior-point method."""
-    return sdp._rank_one_certificate(problem.objective, gap_tol) is None
+    return sdp._rank_one_certificate(problem.objective) is None
 
 
 def assert_certified(sol, problem):
     """``sol`` is the certified rank-one optimum, reached in power steps."""
-    cert = sdp._rank_one_certificate(problem.objective, sdp.DEFAULT_GAP_TOL)
+    cert = sdp._rank_one_certificate(problem.objective)
     assert cert is not None
     np.testing.assert_array_equal(sol.gram, cert.gram)
     assert 1 <= sol.iterations == cert.iterations <= sdp.POWER_MAX_STEPS
@@ -45,7 +45,7 @@ def assert_certified(sol, problem):
 
 def assert_interior_point(sol, problem):
     """``sol`` is the interior-point method's solution."""
-    ipm = sdp._interior_point(problem.objective, sdp.DEFAULT_GAP_TOL, sdp.DEFAULT_MAX_ITER)
+    ipm = sdp._interior_point(problem.objective)
     np.testing.assert_array_equal(sol.gram, ipm.gram)
     assert sol.iterations == ipm.iterations > 0
 
@@ -73,27 +73,28 @@ class TestSolve:
             == (fresh.objective_value, fresh.duality_gap, fresh.iterations)
 
     def test_gap_tolerance_absolute_below_objective_one(self):
-        # The IPM stops at gap <= gap_tol * max(1, |objective|). Scaled by
+        # The IPM stops at gap <= GAP_TOL * max(1, |objective|). Scaled by
         # 0.01 the objective is 0.53, so the tolerance is absolute and the
-        # relative gap stays above gap_tol. The instance has no certified
+        # relative gap stays above GAP_TOL. The instance has no certified
         # rank-one optimum, so both solves run the IPM.
         b = random_psd(np.random.default_rng(25), 4)
         assert certificate_declines(SdpProblem(b))
         assert certificate_declines(SdpProblem(0.01 * b))
         big, small = solve(SdpProblem(b)), solve(SdpProblem(0.01 * b))
         assert big.objective_value > 1.0 > small.objective_value
-        assert big.duality_gap <= sdp.DEFAULT_GAP_TOL * big.objective_value
-        assert small.duality_gap <= sdp.DEFAULT_GAP_TOL
-        assert small.duality_gap > sdp.DEFAULT_GAP_TOL * small.objective_value
+        assert big.duality_gap <= sdp.GAP_TOL * big.objective_value
+        assert small.duality_gap <= sdp.GAP_TOL
+        assert small.duality_gap > sdp.GAP_TOL * small.objective_value
 
     # Fisher instances on which the step-length eigensolve once raised
-    # LinAlgError ("leading minor ... not positive definite") at gap_tol 1e-10.
+    # LinAlgError ("leading minor ... not positive definite") at GAP_TOL 1e-10.
     @pytest.mark.parametrize("seed,key,n", [(7, 0, 16), (9, 0, 20), (9, 1, 20)])
-    def test_lost_definiteness_still_certified(self, seed, key, n):
+    def test_lost_definiteness_still_certified(self, seed, key, n, monkeypatch):
         rng = RngStream(seed, key)
         scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=4), rng.child(0))
         b = fisher_matrix(generate_channel(scenario, rng.child(1)), scenario)
-        sol = solve(SdpProblem(b), gap_tol=1e-10)
+        monkeypatch.setattr(sdp, "GAP_TOL", 1e-10)
+        sol = solve(SdpProblem(b))
         assert sol.duality_gap <= 1e-9 * max(1.0, abs(sol.objective_value))
         assert sol.diag_residual <= 1e-8
         assert sol.min_eigenvalue >= -1e-8
@@ -107,12 +108,13 @@ class TestSolve:
         eigvalsh = lapack.eigvalsh
         monkeypatch.setattr(lapack, "eigvalsh", lambda a: np.full(len(a), np.nan)
                             if a is problem.objective else eigvalsh(a))
+        monkeypatch.setattr(sdp, "MAX_ITER", 0)
         with pytest.raises(ConvergenceError) as err:
-            solve(problem, max_iter=0)
+            solve(problem)
         assert np.isnan(err.value.best_solution.duality_gap)
 
     def test_nan_inside_loop_fails_certificate(self):
-        # With the default max_iter the NaN reaches the first NT scaling's
+        # With the default MAX_ITER the NaN reaches the first NT scaling's
         # eigensolve, which rejects it; the loop ends as on a lost
         # definiteness and the final check raises ConvergenceError.
         problem = SdpProblem(random_psd(np.random.default_rng(25), 4))
@@ -229,7 +231,7 @@ class TestRankOneCertificate:
         y = np.real(a.conj() * (b @ a))
         lam_min = float(np.min(np.linalg.eigvalsh(np.diag(y) - b)))
         obj = quad(a, b)
-        tol = sdp.DEFAULT_GAP_TOL * max(1.0, abs(obj))
+        tol = sdp.GAP_TOL * max(1.0, abs(obj))
         assert lam_min >= -tol / n
         assert np.sum(y) + n * max(0.0, -lam_min) >= obj
         assert sol.duality_gap <= tol
@@ -271,7 +273,7 @@ class TestRankOneCertificate:
         monkeypatch.setattr(lapack, "eigvalsh", nan_first)
         sol = solve(problem)
         assert_interior_point(sol, problem)
-        assert sol.duality_gap <= sdp.DEFAULT_GAP_TOL * max(1.0, abs(sol.objective_value))
+        assert sol.duality_gap <= sdp.GAP_TOL * max(1.0, abs(sol.objective_value))
         assert sol.objective_value == pytest.approx(certified.objective_value, rel=1e-7)
 
 
@@ -449,13 +451,14 @@ class TestExtractRankOne:
         a = extract_rank_one(sol, problem, RngStream(2, 0))
         assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-12
 
-    def test_never_worse_than_all_ones(self):
+    def test_never_worse_than_all_ones(self, monkeypatch):
         gen = np.random.default_rng(5)
+        monkeypatch.setattr(sdp, "NUM_CANDIDATES", 1)
         for k in range(20):
             b = random_psd(gen, 5)
             problem = SdpProblem(objective=b)
             sol = solve(problem)
-            a = extract_rank_one(sol, problem, RngStream(3, k), num_candidates=1)
+            a = extract_rank_one(sol, problem, RngStream(3, k))
             assert quad(a, b) >= quad(np.ones(5), b) - 1e-12
 
     def test_deterministic_given_stream(self):
