@@ -30,6 +30,7 @@ from .errors import (
 )
 from .estimator import (
     estimator_variance,
+    fisher_factor,
     fisher_matrix,
     ml_estimate,
     noise_covariance,
@@ -70,6 +71,7 @@ __all__ = [
     "estimator_variance",
     "extract_rank_one",
     "feedback_round",
+    "fisher_factor",
     "fisher_matrix",
     "generate_channel",
     "ml_estimate",

@@ -69,7 +69,7 @@ class ScenarioParams:
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
         if self.path_loss_exp < 0:
-            raise ConfigurationError("noise powers and path_loss_exp must be nonnegative")
+            raise ConfigurationError("path_loss_exp must be nonnegative")
         for name, (lo, hi) in (
             ("distance_range", self.distance_range),
             ("sensor_noise_range", self.sensor_noise_range),
@@ -124,8 +124,11 @@ class Scenario:
             raise ConfigurationError("distances must be strictly positive")
         # Zero sensor/FC noise is allowed for noiseless synthesis; estimator
         # routines that need invertibility check fc_noise_power themselves.
-        if np.any(sv < 0) or self.fc_noise_power < 0 or self.path_loss_exp < 0:
-            raise ConfigurationError("noise powers and path_loss_exp must be nonnegative")
+        for name, value in (("sensor_noise_powers", sv),
+                            ("fc_noise_power", self.fc_noise_power),
+                            ("path_loss_exp", self.path_loss_exp)):
+            if np.any(value < 0):
+                raise ConfigurationError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)

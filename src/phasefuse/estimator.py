@@ -7,6 +7,13 @@ Core quantity is the Hermitian PSD matrix
 
 whose quadratic form a^H B a sets the estimator variance:
 Var(theta_hat) = 1 / (a^H B a), lower-bounded by 1 / (N lambda_max(B)).
+
+B has rank at most M. When M < N, ``fisher_factor`` gives its M x N factor
+F = L^{-1} H, B = F^H F, with L the lower Cholesky factor of C. The nonzero
+eigenvalues of B are those of the M x M F F^H, so ``variance_lower_bound``
+and the SDP's rank-one certificate take lambda_max(B) from an M x M
+eigensolve when they are given F. Every other step reads the dense B of
+``fisher_matrix``.
 """
 
 from __future__ import annotations
@@ -79,6 +86,20 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     raise DegenerateInstanceError("B = H^H C^{-1} H overflows in floating point")
 
 
+@single_threaded()
+def fisher_factor(channel: ChannelRealization, scenario: Scenario) -> np.ndarray | None:
+    """The M x N factor F = L^{-1} H of B = F^H F, where L L^H = C is the
+    Cholesky factorization of the noise covariance, or None when M >= N,
+    where F would be no smaller than B.
+
+    Raises DegenerateInstanceError when C overflows in floating point."""
+    h = channel.matrix
+    if h.shape[0] >= h.shape[1]:
+        return None
+    c = noise_covariance(channel, scenario)
+    return lapack.solve_triangular(lapack.cho_factor(c), h)
+
+
 def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b @ a)))
 
@@ -121,10 +142,12 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @single_threaded()
-def variance_lower_bound(b: np.ndarray) -> float:
+def variance_lower_bound(b: np.ndarray, factor: np.ndarray | None = None) -> float:
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance, N the
-    order of B."""
-    lam_max = float(np.max(lapack.eigvalsh(b)))
+    order of B. Given B's factor F (``fisher_factor``), lambda_max(B) is
+    that of the smaller F F^H."""
+    gram = b if factor is None else factor @ factor.conj().T
+    lam_max = float(np.max(lapack.eigvalsh(gram)))
     if lam_max <= _degeneracy_floor(b):
         raise DegenerateInstanceError("lambda_max(B) is degenerate")
     return 1.0 / (b.shape[0] * lam_max)

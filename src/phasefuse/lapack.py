@@ -17,7 +17,8 @@ Each function makes the call its ``scipy.linalg`` counterpart makes for a
 does (``d*`` for float64, ``z*`` for complex128; other dtypes are computed in
 one of these two), the same arguments and the same workspace size, so the
 results are bit-identical. Every positive definite solve goes through the
-lower Cholesky factor (``cho_factor`` then ``cho_solve``). Workspace queries
+lower Cholesky factor (``cho_factor`` then ``cho_solve``), and
+``solve_triangular`` applies that factor's inverse alone. Workspace queries
 are cached per routine and order N: at N <= a few hundred ``scipy.linalg``'s
 per-call wrapper (validation, a fresh workspace query, batching) cost about
 as much as LAPACK itself. scipy's checks are kept: a NaN or inf raises
@@ -59,7 +60,7 @@ _ROUTINES = {
     kind: {
         name: getattr(_FLAPACK, kind + (name if kind == "z" else name.replace("he", "sy", 1)))
         for name in ("heevr", "heevr_lwork", "hegvx", "hegvx_lwork",
-                     "potrf", "potrs")
+                     "potrf", "potrs", "trtrs")
     }
     for kind in "dz"
 }
@@ -160,4 +161,17 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = _ROUTINES[_kind(c, b)]["potrs"](c, b, lower=1)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
+def solve_triangular(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` with the lower triangle ``L`` of a ``cho_factor`` factor,
+    as ``scipy.linalg.solve_triangular(c, b, lower=True)``."""
+    c, b = np.asarray(c), np.asarray(b)
+    _check_finite(c, b)
+    x, info = _ROUTINES[_kind(c, b)]["trtrs"](c, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"diagonal entry {info} of the factor is zero")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
     return x

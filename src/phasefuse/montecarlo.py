@@ -30,6 +30,7 @@ from .channel import (
 from .errors import ConfigurationError, ConvergenceError, DegenerateInstanceError
 from .estimator import (
     estimator_variance,
+    fisher_factor,
     fisher_matrix,
     noise_covariance,
     variance_lower_bound,
@@ -156,14 +157,15 @@ def _run_trial(
     scenario = fixed_scenario or sample_scenario(scn_config, stream.child(0))
     channel = generate_channel(scenario, stream.child(1))
     b = fisher_matrix(channel, scenario)
-    lb = variance_lower_bound(b)
+    factor = fisher_factor(channel, scenario)
+    lb = variance_lower_bound(b, factor)
 
     variances: dict[str, float] = {}
     relaxation_bounds: dict[str, float | None] = {}
     failed: dict[str, bool] = {}
     for k, strategy in enumerate(config.strategies):
         try:
-            report = optimize_phases(b, strategy, stream.child(2 + k))
+            report = optimize_phases(b, strategy, stream.child(2 + k), factor)
             variances[strategy.kind] = report.achieved_variance
             relax = report.relaxation_value
             relaxation_bounds[strategy.kind] = None if relax is None else 1.0 / relax
@@ -307,9 +309,7 @@ class ConcentrationConfig(ScenarioParams):
         if self.mode not in (SENSOR_SWEEP, ANTENNA_SWEEP):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "values", _sweep_values("values", self.values))
-        for name in ("fixed_count", "n_draws"):  # one message for both
-            object.__setattr__(self, name, check_count("fixed_count and n_draws",
-                                                       getattr(self, name)))
+        set_counts(self, ("fixed_count", "n_draws"))
         set_counts(self, ("master_seed",), minimum=0)
 
 

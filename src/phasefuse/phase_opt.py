@@ -22,7 +22,12 @@ from . import lapack, sdp
 from .blas import single_threaded
 from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError
-from .estimator import estimator_variance, fisher_matrix, variance_lower_bound
+from .estimator import (
+    estimator_variance,
+    fisher_factor,
+    fisher_matrix,
+    variance_lower_bound,
+)
 from .rng import RngStream
 
 CLOSED_FORM_N2 = "closed_form_n2"
@@ -106,11 +111,16 @@ def optimize_phases(
     b: np.ndarray,
     strategy: PhaseStrategy,
     rng: RngStream,
+    factor: np.ndarray | None = None,
 ) -> OptimizationReport:
-    """Select a phase vector for Fisher matrix B under the given strategy."""
+    """Select a phase vector for Fisher matrix B under the given strategy.
+
+    Given B's factor F, B = F^H F with F M x N (``fisher_factor``), the
+    lower bound and the SDP's rank-one certificate take their spectral data
+    from the M x M F F^H; every other step reads B."""
     b = np.asarray(b)
     n = b.shape[0]
-    lower = variance_lower_bound(b)
+    lower = variance_lower_bound(b, factor)
     relaxation_value = None
 
     if strategy.kind == CLOSED_FORM_N2:
@@ -120,7 +130,7 @@ def optimize_phases(
     elif strategy.kind == GRID_ORACLE:
         a, _ = grid_search(b)
     else:  # SDP_RELAXATION
-        problem = sdp.SdpProblem(objective=b)
+        problem = sdp.SdpProblem(objective=b, factor=factor)
         solution = sdp.solve(problem)
         relaxation_value = solution.objective_value
         a = sdp.extract_rank_one(solution, problem, rng)
@@ -148,6 +158,7 @@ def feedback_round(
     strategy: PhaseStrategy,
     rng: RngStream,
 ) -> OptimizationReport:
-    """One ideal feedback cycle: FC computes B, optimizes a, sensors adopt it."""
+    """One ideal feedback cycle: FC computes B (and its factor when M < N),
+    optimizes a, sensors adopt it."""
     b = fisher_matrix(channel, scenario)
-    return optimize_phases(b, strategy, rng)
+    return optimize_phases(b, strategy, rng, fisher_factor(channel, scenario))

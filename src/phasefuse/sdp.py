@@ -29,22 +29,33 @@ and ``NUM_CANDIDATES`` are fixed values, read at call time.
 Before the IPM, ``solve`` tries to certify a rank-one optimum ``a a^H``. The
 candidate ``a`` is the phase of B's leading eigenvector, improved by
 generalized power steps ``a <- phase((B + cI) a)``, ``c = max(0,
--lambda_min(B))``. With ``y_i = Re(conj(a_i) (B a)_i)``, the dual point
-``y + max(0, -lambda_min(Diag(y) - B)) e`` is feasible, so its total bounds
-the relaxation from above for any ``a`` (weak duality). When that bound is
-within the stopping test of ``a^H B a``, ``a a^H`` is optimal and is returned,
-with ``iterations`` counting the power steps taken (at least one). This
-always happens for M = 1 (B of rank one) and for most small-N Fisher
-instances. Any other instance runs the IPM with the
-same bits as without the attempt: the IPM starts from its own
-``eigvalsh(B)``, not from the certificate's ``eigh(B)``, whose eigenvalues
-can differ in the last bit.
+-lambda_min(B))``. With ``y_i = Re(conj(a_i) (B a)_i)``, any lift ``t`` with
+``Diag(y + t e) >= B`` makes ``y + t e`` dual feasible, so ``sum(y) + N t``
+bounds the relaxation from above for any ``a`` (weak duality). When that
+bound is within the stopping test of ``a^H B a``, ``a a^H`` is optimal and is
+returned, with ``iterations`` counting the power steps taken (at least one)
+and the gap of the dual point that was verified. This always happens for
+M = 1 (B of rank one) and for most small-N Fisher instances.
+
+The certificate takes its spectral data from one of two sources. Given only
+B, it eigendecomposes B (``eigh``), and ``t`` is the least lift,
+``max(0, -lambda_min(Diag(y) - B))`` from a second N x N eigensolve. Given
+B's factor F (``SdpProblem.factor``, M x N with B = F^H F, M < N for a
+Fisher matrix), everything comes from M x M matrices: the leading eigenvector
+is ``F^H u`` from ``eigh(F F^H)``, B is PSD (c = 0), ``B a`` is ``F^H (F a)``,
+and ``t`` is each coordinate's share of the gap budget, accepted when
+``lambda_max(F Diag(1/(y + t)) F^H) <= 1``, the Schur complement form of
+``Diag(y + t e) >= F^H F``. Either way an instance it declines runs the IPM
+with the same bits as without the attempt: the IPM starts from its own
+``eigvalsh(B)``, not from the certificate's eigenvalues, which can differ in
+the last bit. It keeps that N x N eigensolve for as long as the rounding's
+choice among near-tied candidates can turn on the last bit of the gram.
 
 Every solution carries a factor V of its gram, ``gram = V V^H``, which is
 all ``extract_rank_one`` reads of it. A certified solution's factor is
 ``a[:, None]`` and its smallest eigenvalue is 0 by construction, so a
-certified solve makes two eigensolves (the certificate's ``eigh(B)`` and its
-dual ``eigvalsh``) and the rounding none. The IPM's final X is
+certified solve makes two eigensolves, of N x N matrices from B alone and of
+M x M ones from F, and the rounding none. The IPM's final X is
 eigendecomposed once, ``V = U sqrt(w)`` with eigenvalues below
 ``EIG_CLIP_REL * lambda_max`` clipped to zero, and ``min_eigenvalue`` is
 the unclipped ``w[0]``.
@@ -68,6 +79,7 @@ GAP_TOL = 1e-9
 MAX_ITER = 200
 NUM_CANDIDATES = 100  # random candidates of the rank-one rounding
 EIG_CLIP_REL = 1e-12
+FACTOR_TOL = 1e-10  # diag(F^H F) against diag(B), relative to max(1, max |B_ij|)
 STEP_FRACTION = 0.98
 # The rank-one certificate's power iteration stops once a step raises
 # a^H B a by at most POWER_REL_GAIN relative, or after POWER_MAX_STEPS steps.
@@ -77,9 +89,12 @@ POWER_REL_GAIN = 1e-15
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Hermitian objective B of the relaxation max tr(B A)."""
+    """Hermitian objective B of the relaxation max tr(B A), and optionally a
+    factor F of B = F^H F (M x N), from which the rank-one certificate takes
+    its spectral data; ``estimator.fisher_factor`` gives one when M < N."""
 
     objective: np.ndarray
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.objective, dtype=complex)
@@ -91,6 +106,15 @@ class SdpProblem:
         if np.abs(b - b.conj().T).max() > HERMITIAN_TOL * scale:
             raise ConfigurationError("objective must be Hermitian")
         object.__setattr__(self, "objective", 0.5 * (b + b.conj().T))
+        if self.factor is not None:
+            f = np.asarray(self.factor, dtype=complex)
+            if f.ndim != 2 or f.shape[1] != b.shape[0] or not np.isfinite(f).all():
+                raise ConfigurationError("factor must be a finite matrix with N columns")
+            # A necessary condition for F^H F = B, at O(NM).
+            diag = np.real(np.diag(b))
+            if np.abs(np.sum(np.abs(f) ** 2, axis=0) - diag).max() > FACTOR_TOL * scale:
+                raise ConfigurationError("factor F must satisfy diag(F^H F) = diag(B)")
+            object.__setattr__(self, "factor", f)
 
     @property
     def dimension(self) -> int:
@@ -165,29 +189,64 @@ def _solution(
     )
 
 
-def _rank_one_certificate(b: np.ndarray) -> SdpSolution | None:
+def _dominates(d: np.ndarray, factor: np.ndarray) -> bool:
+    """Whether Diag(d) - F^H F is PSD. For d > 0 it is exactly when the
+    Schur complement I - F Diag(1/d) F^H is, an M x M test. Written so that
+    a NaN fails it."""
+    if not d.min() > 0:
+        return False
+    scaled = factor / np.sqrt(d)
+    return bool(lapack.eigvalsh(scaled @ scaled.conj().T)[-1] <= 1.0)
+
+
+def _rank_one_certificate(b: np.ndarray, factor: np.ndarray | None) -> SdpSolution | None:
     """A rank-one optimum ``a a^H`` certified by the dual bound described in
     the module docstring, or None when the bound is not within ``GAP_TOL``.
-    The power steps use ``B + cI``, which is PSD, so they never lower
-    ``a^H B a``."""
+
+    Its spectral data come from ``eigh(B)``, or, given B's factor F (M x N),
+    from the M x M ``F F^H``: B's leading eigenvector is ``F^H u``, B is PSD
+    (no shift), and ``B a`` is ``F^H (F a)``. The power steps use ``B +
+    cI``, which is PSD, so they never lower ``a^H B a``."""
     n = b.shape[0]
-    w, u = lapack.eigh(b)
-    shift = max(-float(w[0]), 0.0)
-    a = phase_normalize(u[:, -1])
-    ba = b @ a
+    if factor is None:
+        w, u = lapack.eigh(b)
+        lead, shift = u[:, -1], max(-float(w[0]), 0.0)
+
+        def times_b(a):
+            return b @ a
+    else:
+        fh = factor.conj().T
+        lead, shift = fh @ lapack.eigh(factor @ fh)[1][:, -1], 0.0
+
+        def times_b(a):
+            return fh @ (factor @ a)
+    a = phase_normalize(lead)
+    ba = times_b(a)
     obj = float(np.real(np.vdot(a, ba)))
     for steps in range(1, POWER_MAX_STEPS + 1):
         a = phase_normalize(ba + shift * a)
-        ba = b @ a
+        ba = times_b(a)
         prev, obj = obj, float(np.real(np.vdot(a, ba)))
         if obj - prev <= POWER_REL_GAIN * abs(obj):
             break
 
+    # Weak duality: a dual point y + lift e with Diag(y + lift e) >= B bounds
+    # the relaxation by sum(y) + n lift, and sum(y) = a^H B a in exact
+    # arithmetic, so the gap is the rounding residual plus n lift.
     y = np.real(a.conj() * ba)
-    slack_min = float(lapack.eigvalsh(np.diag(y) - b)[0])
-    # max(nan, 0.0) is nan, so a NaN eigenvalue fails the test below.
-    gap = float(np.sum(y)) + n * max(-slack_min, 0.0) - obj
-    if not gap <= GAP_TOL * max(1.0, abs(obj)):
+    residual = float(np.sum(y)) - obj
+    budget = GAP_TOL * max(1.0, abs(obj))
+    if factor is None:
+        # The least lift; max(nan, 0.0) is nan, which fails the test below.
+        lift = max(-float(lapack.eigvalsh(np.diag(y) - b)[0]), 0.0)
+    else:
+        # Each coordinate's share of the budget, less 8 ulps so that the
+        # rounded gap stays within it; nan unless that lift suffices.
+        lift = (budget - residual) * (1.0 - 8.0 * np.finfo(float).eps) / n
+        if not _dominates(y + lift, factor):
+            lift = np.nan
+    gap = residual + n * lift
+    if not gap <= budget:
         return None
     # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0: no eigensolve.
     return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
@@ -270,7 +329,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         one = np.ones((1, 1), dtype=complex)
         return _solution(one, one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
 
-    sol = _rank_one_certificate(b)
+    sol = _rank_one_certificate(b, problem.factor)
     if sol is None:
         sol = _interior_point(b)
     # Written so that a NaN gap (max(nan, 0.0) is nan) fails the certificate.

@@ -24,22 +24,23 @@ PUBLIC = {
                        "sensor_noise_range", "n_sensors", "n_antennas"),
     "ScenarioParams": ("path_loss_exp", "fc_noise_power", "distance_range",
                        "sensor_noise_range"),
-    "SdpProblem": ("objective",),
+    "SdpProblem": ("objective", "factor"),
     "SdpSolution": ("gram", "factor", "objective_value", "duality_gap", "diag_residual",
                     "min_eigenvalue", "iterations"),
     "estimator_variance": ("a", "b"),
     "extract_rank_one": ("solution", "problem", "rng"),
     "feedback_round": ("channel", "scenario", "strategy", "rng"),
+    "fisher_factor": ("channel", "scenario"),
     "fisher_matrix": ("channel", "scenario"),
     "generate_channel": ("scenario", "rng"),
     "ml_estimate": ("y", "channel", "scenario", "a"),
     "noise_covariance": ("channel", "scenario"),
-    "optimize_phases": ("b", "strategy", "rng"),
+    "optimize_phases": ("b", "strategy", "rng", "factor"),
     "optimize_phases_n2": ("b",),
     "sample_scenario": ("config", "rng"),
     "solve": ("problem",),
     "synthesize_received_signal": ("scenario", "channel", "a", "rng"),
-    "variance_lower_bound": ("b",),
+    "variance_lower_bound": ("b", "factor"),
 }
 
 # The sweep and verification entry points, the grid oracle, the unit-modulus

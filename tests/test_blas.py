@@ -56,7 +56,7 @@ def test_optimize_phases_runs_single_threaded(monkeypatch):
 def test_restored_after_convergence_error(monkeypatch):
     # An instance without a certified rank-one optimum, so the IPM runs.
     b = random_psd(np.random.default_rng(1), 8)
-    assert phasefuse.sdp._rank_one_certificate(SdpProblem(b).objective) is None
+    assert phasefuse.sdp._rank_one_certificate(SdpProblem(b).objective, None) is None
     monkeypatch.setattr(phasefuse.sdp, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
         solve(SdpProblem(objective=b))
@@ -132,6 +132,11 @@ def _call_fisher(n, m):
     return lambda: estimator.fisher_matrix(chan, scenario)
 
 
+def _call_fisher_factor():
+    scenario, chan = instance(6, 3)
+    return lambda: estimator.fisher_factor(chan, scenario)
+
+
 def _call_ml_estimate():
     scenario, chan = instance()
     a = np.ones(scenario.n_sensors, dtype=complex)
@@ -199,6 +204,7 @@ def _call_verify_concentration():
 SCOPED = [
     ("fisher_matrix", estimator, "noise_covariance", lambda: _call_fisher(6, 3)),
     ("fisher_matrix_m_gt_n", lapack, "cho_solve", lambda: _call_fisher(3, 6)),
+    ("fisher_factor", lapack, "solve_triangular", _call_fisher_factor),
     ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
     ("variance_lower_bound", lapack, "eigvalsh", _call_variance_lower_bound),
@@ -258,6 +264,7 @@ UNDERFLOWING_GAINS = dict(distance_range=(1e200, 1e201), path_loss_exp=2.0)
 
 RAISING = {
     "fisher_matrix": lambda: estimator.fisher_matrix(*instance(fc_noise_power=0.0)[::-1]),
+    "fisher_factor": lambda: estimator.fisher_factor(*instance(fc_noise_power=0.0)[::-1]),
     "noise_covariance": lambda: estimator.noise_covariance(
         *instance(fc_noise_power=0.0)[::-1]),
     "ml_estimate": lambda: estimator.ml_estimate(

@@ -81,8 +81,7 @@ class TestSampleScenario:
             ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
 
     def test_negative_path_loss_rejected_when_built(self):
-        with pytest.raises(ConfigurationError,
-                           match="noise powers and path_loss_exp must be nonnegative"):
+        with pytest.raises(ConfigurationError, match="^path_loss_exp must be nonnegative"):
             ScenarioConfig(n_sensors=2, n_antennas=2, path_loss_exp=-1.0)
 
 
@@ -316,6 +315,15 @@ class TestScenarioValidation:
     ])
     def test_non_finite_rejected(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            make_scenario(**kwargs)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("path_loss_exp", dict(alpha=-1.0)),
+        ("fc_noise_power", dict(fc=-0.1)),
+        ("sensor_noise_powers", dict(sv=[0.005, -0.005, 0.005, 0.005])),
+    ])
+    def test_negative_rejected_naming_the_field(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be nonnegative"):
             make_scenario(**kwargs)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (2, 0)])

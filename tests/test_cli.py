@@ -366,7 +366,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
         assert main([subcommand, "--alpha", "-1"]) == 1
-        assert "error: noise powers and path_loss_exp must be nonnegative" \
+        assert "error: path_loss_exp must be nonnegative" \
             in capsys.readouterr().err
 
     def test_selftest_fails_on_a_wrong_lemma_branch(self, monkeypatch, capsys):
@@ -391,7 +391,7 @@ class TestCommands:
                                                                      capsys):
         # With the certificate gone the IPM solves the M = 1 instance, and its
         # factor is N x N, not the certified one column.
-        monkeypatch.setattr(sdp, "_rank_one_certificate", lambda b: None)
+        monkeypatch.setattr(sdp, "_rank_one_certificate", lambda b, factor: None)
         assert main(["selftest"]) == 1
         assert "[FAIL] single-antenna co-phasing" in capsys.readouterr().out
 

@@ -5,6 +5,7 @@ from phasefuse.channel import ChannelRealization, Scenario
 from phasefuse.errors import DegenerateInstanceError
 from phasefuse.estimator import (
     estimator_variance,
+    fisher_factor,
     fisher_matrix,
     ml_estimate,
     noise_covariance,
@@ -92,6 +93,27 @@ class TestFisherMatrix:
         h = 1e200 * np.ones((m, n))
         with pytest.raises(DegenerateInstanceError, match="overflows"):
             fisher_matrix(channel_of(h), scenario_of(h, np.full(n, sv), 0.1))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 4), (8, 2), (30, 1), (40, 16)])
+    def test_factor_reproduces_b(self, n, m):
+        gen = np.random.default_rng(n * 10 + m)
+        for _ in range(10):
+            ch, scn = random_instance(gen, n, m)
+            b, f = fisher_matrix(ch, scn), fisher_factor(ch, scn)
+            assert f.shape == (m, n)
+            np.testing.assert_allclose(f.conj().T @ f, b, rtol=0.0,
+                                       atol=1e-13 * np.abs(b).max())
+            assert variance_lower_bound(b, f) == pytest.approx(variance_lower_bound(b),
+                                                               rel=1e-13)
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (4, 6), (1, 5)])
+    def test_no_factor_unless_fewer_antennas_than_sensors(self, n, m):
+        assert fisher_factor(*random_instance(np.random.default_rng(n), n, m)) is None
+
+    def test_factor_of_overflowing_covariance_is_degenerate(self):
+        h = 1e200 * np.ones((2, 4))
+        with pytest.raises(DegenerateInstanceError, match="overflows"):
+            fisher_factor(channel_of(h), scenario_of(h, np.full(4, 0.01), 0.1))
 
     def test_hermitian_psd(self):
         gen = np.random.default_rng(2)

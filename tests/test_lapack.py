@@ -40,13 +40,15 @@ PAIRS = {
                    lambda a, b: sla.cho_factor(a, lower=True)),
     "cho_solve": (lambda a, b: lapack.cho_solve(a, b),
                   lambda a, b: sla.cho_solve((a, True), b)),
+    "solve_triangular": (lambda a, b: lapack.solve_triangular(a, b),
+                         lambda a, b: sla.solve_triangular(a, b, lower=True)),
     "pencil_min_eigenvalue": (
         lambda a, b: lapack.pencil_min_eigenvalue(b, a),
         lambda a, b: sla.eigh(b, a, eigvals_only=True, subset_by_index=[0, 0])),
 }
 
 
-READS_B = ("cho_solve", "pencil_min_eigenvalue")
+READS_B = ("cho_solve", "solve_triangular", "pencil_min_eigenvalue")
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

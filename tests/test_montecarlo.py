@@ -103,7 +103,7 @@ class TestConfigValidation:
         ("fc_noise_power", 0.0, "must be positive"),
         ("path_loss_exp", np.nan, "must be finite"),
         ("distance_range", (2.0, np.inf), "must be finite"),
-        ("path_loss_exp", -1.0, "noise powers and path_loss_exp must be nonnegative"),
+        ("path_loss_exp", -1.0, "^path_loss_exp must be nonnegative"),
     ])
     def test_bad_scenario_parameter_rejected_when_built(self, make, field, value, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -111,11 +111,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value,match", [
         ("mode", "bogus", "unknown mode"),
-        ("n_draws", 0, "n_draws must be >= 1"),
+        ("n_draws", 0, "^n_draws must be >= 1"),
         ("values", (), "nonempty positive"),
         ("values", (0, 10), "nonempty positive"),
         ("values", (20, 10), "strictly increasing"),
-        ("fixed_count", 0, "fixed_count and n_draws must be >= 1"),
+        ("fixed_count", 0, "^fixed_count must be >= 1"),
     ], ids=["mode", "n_draws", "values_empty", "values_positive", "values_increasing",
             "fixed_count"])
     def test_bad_concentration_config_rejected(self, field, value, match):

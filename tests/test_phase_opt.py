@@ -16,6 +16,7 @@ from phasefuse.phase_opt import (
     optimize_phases,
     optimize_phases_n2,
 )
+from phasefuse import lapack
 from phasefuse.rng import RngStream
 
 PI3_B = np.array([
@@ -142,6 +143,19 @@ class TestFeedbackRound:
         r2 = feedback_round(ch, scn, PhaseStrategy(SDP_RELAXATION), RngStream(9, 0))
         assert np.array_equal(r1.phases, r2.phases)
         assert r1.achieved_variance == r2.achieved_variance
+
+    @pytest.mark.parametrize("n,m,seed", [(100, 1, 0), (30, 1, 2), (6, 4, 1)])
+    def test_certified_round_makes_no_n_by_n_eigensolve(self, n, m, seed, monkeypatch):
+        # With M < N the bound and the certificate read the M x M F F^H; an
+        # IPM solve would eigendecompose N x N iterates.
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(lapack, name)
+            monkeypatch.setattr(lapack, name, lambda a, real=real:
+                                (shapes.append(np.shape(a)), real(a))[1])
+        scn, ch = self._instance(n=n, m=m, seed=seed)
+        feedback_round(ch, scn, PhaseStrategy(SDP_RELAXATION), RngStream(14, seed))
+        assert shapes and set(shapes) == {(m, m)}
 
     def test_all_ones_dominated(self):
         for seed in range(5):

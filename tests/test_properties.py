@@ -1,15 +1,18 @@
 """Property tests of the relaxation's invariants on random PSD objectives
-B = G G^H (N in 2..8, rank 1..N), and of its certified rank-one optima. Examples are capped and derandomized so
-the suite stays fast and deterministic and writes no example database."""
+B = G G^H (N in 2..8, rank 1..N), of its certified rank-one optima, and of
+the certificate's factor path on Fisher instances with M < N (N up to 40).
+Examples are capped and derandomized so the suite stays fast and
+deterministic and writes no example database."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasefuse.estimator import variance_lower_bound
+from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
+from phasefuse.estimator import fisher_factor, fisher_matrix, variance_lower_bound
 from phasefuse.phase_opt import SDP_RELAXATION, PhaseStrategy, optimize_phases, optimize_phases_n2
 from phasefuse.rng import RngStream
-from phasefuse import sdp
+from phasefuse import lapack, sdp
 from phasefuse.sdp import SdpProblem, solve
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -25,6 +28,17 @@ def instances(draw, sizes=st.integers(2, 8)):
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = gen.standard_normal((n, rank)) + 1j * gen.standard_normal((n, rank))
     return g @ g.conj().T, gen
+
+
+@st.composite
+def fisher_instances(draw):
+    """(B, F) of a sampled Fisher instance with M < N, B = F^H F."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, n - 1))
+    stream = RngStream(draw(st.integers(0, 2**32 - 1)), 0)
+    scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=m), stream.child(0))
+    channel = generate_channel(scenario, stream.child(1))
+    return fisher_matrix(channel, scenario), fisher_factor(channel, scenario)
 
 
 def unitary_diagonal(gen, n):
@@ -100,3 +114,27 @@ def test_certified_optimum_matches_interior_point(instance):
     certified = solve(problem).objective_value
     ipm = sdp._interior_point(problem.objective)
     assert abs(certified - ipm.objective_value) <= 1e-7 * abs(ipm.objective_value)
+
+
+@SETTINGS
+@given(fisher_instances())
+def test_factor_path_agrees_with_dense(instance):
+    # lambda_max(B) from F F^H, and the certificate from F, decide and value
+    # as the dense eigensolves do.
+    b, f = instance
+    lam = float(lapack.eigvalsh(b)[-1])
+    assert abs(1.0 / (b.shape[0] * variance_lower_bound(b, f)) - lam) <= 1e-13 * lam
+    dense, factored = SdpProblem(b), SdpProblem(b, f)
+    expected = sdp._rank_one_certificate(dense.objective, None)
+    got = sdp._rank_one_certificate(factored.objective, factored.factor)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert abs(got.objective_value - expected.objective_value) \
+            <= 1e-12 * expected.objective_value
+        assert got.duality_gap <= sdp.GAP_TOL * max(1.0, got.objective_value)
+        # The reported bound, value plus gap, holds: its dual point y + lift e
+        # dominates B, checked here with a dense eigensolve.
+        a = got.factor[:, 0]
+        y = np.real(a.conj() * (b @ a))
+        lift = (got.objective_value + got.duality_gap - y.sum()) / len(y)
+        assert lapack.eigvalsh(np.diag(y + lift) - b)[0] >= -1e-12 * lam

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError, ConvergenceError
-from phasefuse.estimator import fisher_matrix, noise_covariance
+from phasefuse.estimator import fisher_factor, fisher_matrix, noise_covariance
 from phasefuse.phase_opt import optimize_phases_n2
 from phasefuse.rng import RngStream
 from phasefuse import lapack, sdp
@@ -32,12 +32,12 @@ def quad(a, b):
 
 def certificate_declines(problem):
     """True when ``solve`` goes on to the interior-point method."""
-    return sdp._rank_one_certificate(problem.objective) is None
+    return sdp._rank_one_certificate(problem.objective, problem.factor) is None
 
 
 def assert_certified(sol, problem):
     """``sol`` is the certified rank-one optimum, reached in power steps."""
-    cert = sdp._rank_one_certificate(problem.objective)
+    cert = sdp._rank_one_certificate(problem.objective, problem.factor)
     assert cert is not None
     np.testing.assert_array_equal(sol.gram, cert.gram)
     assert 1 <= sol.iterations == cert.iterations <= sdp.POWER_MAX_STEPS
@@ -223,20 +223,22 @@ class TestRankOneCertificate:
     @pytest.mark.parametrize("n,m,seed", [(4, 4, 0), (6, 4, 1), (10, 4, 2), (30, 1, 3),
                                           (5, 16, 4)])
     def test_certified_dual_is_feasible(self, n, m, seed):
-        b = fisher_instance(n, m, seed)[0]
-        problem = SdpProblem(b)
-        sol = solve(problem)
-        assert_certified(sol, problem)
-        a = sol.gram[:, 0]  # a conj(a_0): a up to a global phase
-        y = np.real(a.conj() * (b @ a))
-        lam_min = float(np.min(np.linalg.eigvalsh(np.diag(y) - b)))
-        obj = quad(a, b)
-        tol = sdp.GAP_TOL * max(1.0, abs(obj))
-        assert lam_min >= -tol / n
-        assert np.sum(y) + n * max(0.0, -lam_min) >= obj
-        assert sol.duality_gap <= tol
-        assert sol.diag_residual <= 1e-12
-        assert sol.min_eigenvalue >= -1e-12 * n
+        # With B's factor (M < N only) the certificate lifts y by each
+        # coordinate's share of the gap budget instead of the least lift.
+        b, channel, scenario = fisher_instance(n, m, seed)
+        for problem in (SdpProblem(b), SdpProblem(b, fisher_factor(channel, scenario))):
+            sol = solve(problem)
+            assert_certified(sol, problem)
+            a = sol.gram[:, 0]  # a conj(a_0): a up to a global phase
+            y = np.real(a.conj() * (b @ a))
+            lam_min = float(np.min(np.linalg.eigvalsh(np.diag(y) - b)))
+            obj = quad(a, b)
+            tol = sdp.GAP_TOL * max(1.0, abs(obj))
+            assert lam_min >= -tol / n
+            assert np.sum(y) + n * max(0.0, -lam_min) >= obj
+            assert sol.duality_gap <= tol
+            assert sol.diag_residual <= 1e-12
+            assert sol.min_eigenvalue >= -1e-12 * n
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dual_bound_holds_for_any_phases(self, seed):
@@ -257,6 +259,24 @@ class TestRankOneCertificate:
         problem = SdpProblem(fisher_instance(30, 4, 0)[0])
         assert certificate_declines(problem)
         assert_interior_point(solve(problem), problem)
+
+    def test_declined_with_factor_leaves_the_interior_point_bits(self):
+        # The factor feeds only the certificate: the IPM starts from its own
+        # eigvalsh(B) and returns the same gram, byte for byte.
+        b, channel, scenario = fisher_instance(30, 4, 0)
+        factored = SdpProblem(b, fisher_factor(channel, scenario))
+        assert certificate_declines(factored)
+        assert solve(factored).gram.tobytes() == solve(SdpProblem(b)).gram.tobytes()
+
+    @pytest.mark.parametrize("factor,match", [
+        (np.ones((1, 3)), "N columns"),
+        (np.full((1, 2), np.nan), "N columns"),
+        (np.ones(2), "N columns"),
+        (np.full((1, 2), 2.0), "diag"),
+    ], ids=["columns", "nan", "vector", "diagonal"])
+    def test_bad_factor_rejected(self, factor, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SdpProblem(PI3_B, factor)
 
     def test_nan_certificate_falls_through_to_ipm(self, monkeypatch):
         # The certificate's only eigvalsh call is lambda_min(Diag(y) - B),
@@ -398,6 +418,9 @@ class TestDirectLapack:
             c_ref = sla.cho_factor(a, lower=True)
             assert c.dtype == c_ref[0].dtype and c.tobytes() == c_ref[0].tobytes()
             x, x_ref = lapack.cho_solve(c, rhs), sla.cho_solve(c_ref, rhs)
+            assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+            x = lapack.solve_triangular(c, rhs)
+            x_ref = sla.solve_triangular(c, rhs, lower=True)
             assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
 
     def test_non_pd_raises_linalg_error(self):
