@@ -146,6 +146,8 @@ def variance_lower_bound(b: np.ndarray, factor: np.ndarray | None = None) -> flo
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance, N the
     order of B. Given B's factor F (``fisher_factor``), lambda_max(B) is
     that of the smaller F F^H."""
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
+        raise ConfigurationError("B must be a non-empty square matrix")
     gram = b if factor is None else factor @ factor.conj().T
     lam_max = float(np.max(lapack.eigvalsh(gram)))
     if lam_max <= _degeneracy_floor(b):

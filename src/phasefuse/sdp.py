@@ -26,39 +26,33 @@ The stopping test is ``gap <= GAP_TOL * max(1, |tr(B A)|)``: relative to the
 objective when it exceeds 1, absolute below that. ``GAP_TOL``, ``MAX_ITER``
 and ``NUM_CANDIDATES`` are fixed values, read at call time.
 
-Before the IPM, ``solve`` tries to certify a rank-one optimum ``a a^H``. The
-candidate ``a`` is the phase of B's leading eigenvector, improved by
-generalized power steps ``a <- phase((B + cI) a)``, ``c = max(0,
--lambda_min(B))``. With ``y_i = Re(conj(a_i) (B a)_i)``, any lift ``t`` with
-``Diag(y + t e) >= B`` makes ``y + t e`` dual feasible, so ``sum(y) + N t``
-bounds the relaxation from above for any ``a`` (weak duality). When that
-bound is within the stopping test of ``a^H B a``, ``a a^H`` is optimal and is
+Before the IPM, ``solve`` tries to certify a rank-one optimum ``a a^H``.
+It works from a factor F of B's PSD part (k x N, ``F^H F >= B``):
+``SdpProblem.factor`` when given (``estimator.fisher_factor``, M x N with
+M < N), and otherwise one ``eigh(B)``, a row ``sqrt(w) u^H`` for each
+eigenpair with ``w > 0`` and always the leading one. The candidate ``a`` is
+the phase of ``F^H u``, u the leading eigenvector of the k x k ``F F^H``,
+improved by power steps ``a <- phase(B a)``. With ``y_i = Re(conj(a_i) (B
+a)_i)`` and a lift ``t``, ``Diag(y + t e) >= F^H F >= B`` makes ``y + t e``
+dual feasible, so ``sum(y) + N t`` bounds the relaxation from above for any
+``a`` (weak duality). ``t`` is each coordinate's share of the gap budget, and
+the test is ``lambda_max(F Diag(1/(y + t)) F^H) <= 1``, the Schur complement
+form of ``Diag(y + t e) >= F^H F``. When it holds, ``a a^H`` is optimal and is
 returned, with ``iterations`` counting the power steps taken (at least one)
-and the gap of the dual point that was verified. This always happens for
-M = 1 (B of rank one) and for most small-N Fisher instances.
-
-The certificate takes its spectral data from one of two sources. Given only
-B, it eigendecomposes B (``eigh``), and ``t`` is the least lift,
-``max(0, -lambda_min(Diag(y) - B))`` from a second N x N eigensolve. Given
-B's factor F (``SdpProblem.factor``, M x N with B = F^H F, M < N for a
-Fisher matrix), everything comes from M x M matrices: the leading eigenvector
-is ``F^H u`` from ``eigh(F F^H)``, B is PSD (c = 0), ``B a`` is ``F^H (F a)``,
-and ``t`` is each coordinate's share of the gap budget, accepted when
-``lambda_max(F Diag(1/(y + t)) F^H) <= 1``, the Schur complement form of
-``Diag(y + t e) >= F^H F``. Either way an instance it declines runs the IPM
-with the same bits as without the attempt: the IPM starts from its own
-``eigvalsh(B)``, not from the certificate's eigenvalues, which can differ in
-the last bit. It keeps that N x N eigensolve for as long as the rounding's
-choice among near-tied candidates can turn on the last bit of the gram.
+and the gap of that dual point, about ``GAP_TOL * max(1, |a^H B a|)``. This
+always happens for M = 1 (B of rank one) and for most small-N Fisher
+instances. An instance it declines runs the IPM with the same bits as
+without the attempt: the IPM starts from its own ``eigvalsh(B)``, not from
+the certificate's eigenvalues, which can differ in the last bit. It keeps
+that N x N eigensolve for as long as the rounding's choice among near-tied
+candidates can turn on the last bit of the gram.
 
 Every solution carries a factor V of its gram, ``gram = V V^H``, which is
 all ``extract_rank_one`` reads of it. A certified solution's factor is
-``a[:, None]`` and its smallest eigenvalue is 0 by construction, so a
-certified solve makes two eigensolves, of N x N matrices from B alone and of
-M x M ones from F, and the rounding none. The IPM's final X is
-eigendecomposed once, ``V = U sqrt(w)`` with eigenvalues below
-``EIG_CLIP_REL * lambda_max`` clipped to zero, and ``min_eigenvalue`` is
-the unclipped ``w[0]``.
+``a[:, None]`` and its smallest eigenvalue is 0 by construction, so the
+rounding makes no eigensolve. The IPM's final X is eigendecomposed once,
+``V = U sqrt(w)`` with eigenvalues below ``EIG_CLIP_REL * lambda_max``
+clipped to zero, and ``min_eigenvalue`` is the unclipped ``w[0]``.
 """
 
 from __future__ import annotations
@@ -91,15 +85,16 @@ POWER_REL_GAIN = 1e-15
 class SdpProblem:
     """Hermitian objective B of the relaxation max tr(B A), and optionally a
     factor F of B = F^H F (M x N), from which the rank-one certificate takes
-    its spectral data; ``estimator.fisher_factor`` gives one when M < N."""
+    its spectral data; ``estimator.fisher_factor`` gives one when M < N.
+    Without it, ``solve`` derives one from ``eigh(B)``."""
 
     objective: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.objective, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ConfigurationError("objective must be a square matrix")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
+            raise ConfigurationError("objective must be a non-empty square matrix")
         if not np.isfinite(b).all():
             raise ConfigurationError("objective must be finite")
         scale = max(1.0, float(np.abs(b).max()))
@@ -199,54 +194,42 @@ def _dominates(d: np.ndarray, factor: np.ndarray) -> bool:
     return bool(lapack.eigvalsh(scaled @ scaled.conj().T)[-1] <= 1.0)
 
 
-def _rank_one_certificate(b: np.ndarray, factor: np.ndarray | None) -> SdpSolution | None:
+def _psd_factor(b: np.ndarray) -> np.ndarray:
+    """F with F^H F the PSD part of B, so F^H F >= B: a row ``sqrt(w) u^H``
+    for each eigenpair of B with w > 0, and always the leading one."""
+    w, u = lapack.eigh(b)
+    k = max(1, int(np.count_nonzero(w > 0)))
+    return (u[:, -k:] * np.sqrt(np.maximum(w[-k:], 0.0))).conj().T
+
+
+def _rank_one_certificate(b: np.ndarray, factor: np.ndarray) -> SdpSolution | None:
     """A rank-one optimum ``a a^H`` certified by the dual bound described in
     the module docstring, or None when the bound is not within ``GAP_TOL``.
-
-    Its spectral data come from ``eigh(B)``, or, given B's factor F (M x N),
-    from the M x M ``F F^H``: B's leading eigenvector is ``F^H u``, B is PSD
-    (no shift), and ``B a`` is ``F^H (F a)``. The power steps use ``B +
-    cI``, which is PSD, so they never lower ``a^H B a``."""
+    ``factor`` is F (k x N) with ``F^H F >= B``; it gives the start ``F^H u``
+    and the dual test, and everything else reads B."""
     n = b.shape[0]
-    if factor is None:
-        w, u = lapack.eigh(b)
-        lead, shift = u[:, -1], max(-float(w[0]), 0.0)
-
-        def times_b(a):
-            return b @ a
-    else:
-        fh = factor.conj().T
-        lead, shift = fh @ lapack.eigh(factor @ fh)[1][:, -1], 0.0
-
-        def times_b(a):
-            return fh @ (factor @ a)
-    a = phase_normalize(lead)
-    ba = times_b(a)
+    fh = factor.conj().T
+    a = phase_normalize(fh @ lapack.eigh(factor @ fh)[1][:, -1])
+    ba = b @ a
     obj = float(np.real(np.vdot(a, ba)))
     for steps in range(1, POWER_MAX_STEPS + 1):
-        a = phase_normalize(ba + shift * a)
-        ba = times_b(a)
+        a = phase_normalize(ba)
+        ba = b @ a
         prev, obj = obj, float(np.real(np.vdot(a, ba)))
         if obj - prev <= POWER_REL_GAIN * abs(obj):
             break
 
-    # Weak duality: a dual point y + lift e with Diag(y + lift e) >= B bounds
-    # the relaxation by sum(y) + n lift, and sum(y) = a^H B a in exact
-    # arithmetic, so the gap is the rounding residual plus n lift.
+    # Weak duality: a dual point y + lift e with Diag(y + lift e) >= F^H F
+    # >= B bounds the relaxation by sum(y) + n lift, and sum(y) = a^H B a in
+    # exact arithmetic, so the gap is the rounding residual plus n lift. The
+    # lift is each coordinate's share of the budget, less 8 ulps so that the
+    # rounded gap stays within it.
     y = np.real(a.conj() * ba)
     residual = float(np.sum(y)) - obj
     budget = GAP_TOL * max(1.0, abs(obj))
-    if factor is None:
-        # The least lift; max(nan, 0.0) is nan, which fails the test below.
-        lift = max(-float(lapack.eigvalsh(np.diag(y) - b)[0]), 0.0)
-    else:
-        # Each coordinate's share of the budget, less 8 ulps so that the
-        # rounded gap stays within it; nan unless that lift suffices.
-        lift = (budget - residual) * (1.0 - 8.0 * np.finfo(float).eps) / n
-        if not _dominates(y + lift, factor):
-            lift = np.nan
+    lift = (budget - residual) * (1.0 - 8.0 * np.finfo(float).eps) / n
     gap = residual + n * lift
-    if not gap <= budget:
+    if not (gap <= budget and _dominates(y + lift, factor)):
         return None
     # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0: no eigensolve.
     return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
@@ -329,7 +312,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         one = np.ones((1, 1), dtype=complex)
         return _solution(one, one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
 
-    sol = _rank_one_certificate(b, problem.factor)
+    factor = _psd_factor(b) if problem.factor is None else problem.factor
+    sol = _rank_one_certificate(b, factor)
     if sol is None:
         sol = _interior_point(b)
     # Written so that a NaN gap (max(nan, 0.0) is nan) fails the certificate.

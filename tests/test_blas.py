@@ -56,7 +56,8 @@ def test_optimize_phases_runs_single_threaded(monkeypatch):
 def test_restored_after_convergence_error(monkeypatch):
     # An instance without a certified rank-one optimum, so the IPM runs.
     b = random_psd(np.random.default_rng(1), 8)
-    assert phasefuse.sdp._rank_one_certificate(SdpProblem(b).objective, None) is None
+    b = SdpProblem(b).objective
+    assert phasefuse.sdp._rank_one_certificate(b, phasefuse.sdp._psd_factor(b)) is None
     monkeypatch.setattr(phasefuse.sdp, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as info:
         solve(SdpProblem(objective=b))
@@ -177,6 +178,12 @@ def _call_extract_rank_one():
     return lambda: phasefuse.sdp.extract_rank_one(solution, problem, RngStream(5, 2))
 
 
+def _call_solve_bare_objective():
+    # Without a factor, solve derives one from eigh(B) before the certificate.
+    problem = SdpProblem(objective=fisher(3, 6))
+    return lambda: solve(problem)
+
+
 def small_sweep(**overrides):
     fields = dict(sweep=montecarlo.SENSOR_SWEEP, sweep_values=(3, 4), fixed_count=2,
                   trials=2, strategies=(PhaseStrategy(phase_opt.ALL_ONES),))
@@ -212,6 +219,7 @@ SCOPED = [
     ("eigenvector_rounding", lapack, "eigh", _call_eigenvector_rounding),
     ("feedback_round", phase_opt, "fisher_matrix", _call_feedback_round),
     ("extract_rank_one", phasefuse.sdp, "phase_normalize", _call_extract_rank_one),
+    ("solve_bare_objective", lapack, "eigh", _call_solve_bare_objective),
     ("run_sweep", montecarlo, "fisher_matrix", _call_run_sweep),
     ("verify_unbiasedness", montecarlo, "noise_covariance", _call_verify_unbiasedness),
     ("verify_diagonal_concentration", montecarlo, "generate_channel",

@@ -32,9 +32,10 @@ def instances(draw, sizes=st.integers(2, 8)):
 
 @st.composite
 def fisher_instances(draw):
-    """(B, F) of a sampled Fisher instance with M < N, B = F^H F."""
+    """(B, F) of a sampled Fisher instance with M <= N + 4: F is
+    ``fisher_factor``'s, B = F^H F, when M < N, and None otherwise."""
     n = draw(st.integers(2, 40))
-    m = draw(st.integers(1, n - 1))
+    m = draw(st.integers(1, n + 4))
     stream = RngStream(draw(st.integers(0, 2**32 - 1)), 0)
     scenario = sample_scenario(ScenarioConfig(n_sensors=n, n_antennas=m), stream.child(0))
     channel = generate_channel(scenario, stream.child(1))
@@ -119,18 +120,19 @@ def test_certified_optimum_matches_interior_point(instance):
 @SETTINGS
 @given(fisher_instances())
 def test_factor_path_agrees_with_dense(instance):
-    # lambda_max(B) from F F^H, and the certificate from F, decide and value
-    # as the dense eigensolves do.
+    # lambda_max(B) from F F^H is that of B, and fisher_factor's F and the
+    # factor solve derives from the dense eigh(B) certify alike.
     b, f = instance
     lam = float(lapack.eigvalsh(b)[-1])
     assert abs(1.0 / (b.shape[0] * variance_lower_bound(b, f)) - lam) <= 1e-13 * lam
-    dense, factored = SdpProblem(b), SdpProblem(b, f)
-    expected = sdp._rank_one_certificate(dense.objective, None)
-    got = sdp._rank_one_certificate(factored.objective, factored.factor)
-    assert (got is None) == (expected is None)
-    if expected is not None:
-        assert abs(got.objective_value - expected.objective_value) \
-            <= 1e-12 * expected.objective_value
+    problem = SdpProblem(b, f)
+    b = problem.objective
+    derived = sdp._rank_one_certificate(b, sdp._psd_factor(b))
+    got = derived if f is None else sdp._rank_one_certificate(b, problem.factor)
+    assert (got is None) == (derived is None)
+    if derived is not None:
+        assert abs(got.objective_value - derived.objective_value) \
+            <= 1e-12 * derived.objective_value
         assert got.duality_gap <= sdp.GAP_TOL * max(1.0, got.objective_value)
         # The reported bound, value plus gap, holds: its dual point y + lift e
         # dominates B, checked here with a dense eigensolve.

@@ -4,8 +4,13 @@ import scipy.linalg as sla
 
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError, ConvergenceError
-from phasefuse.estimator import fisher_factor, fisher_matrix, noise_covariance
-from phasefuse.phase_opt import optimize_phases_n2
+from phasefuse.estimator import (
+    fisher_factor,
+    fisher_matrix,
+    noise_covariance,
+    variance_lower_bound,
+)
+from phasefuse.phase_opt import ALL_ONES, PhaseStrategy, optimize_phases, optimize_phases_n2
 from phasefuse.rng import RngStream
 from phasefuse import lapack, sdp
 from phasefuse.sdp import (
@@ -30,14 +35,21 @@ def quad(a, b):
     return float(np.real(np.vdot(a, b @ a)))
 
 
+def certificate(problem):
+    """The rank-one certificate ``solve`` tries, with the factor it uses."""
+    b = problem.objective
+    return sdp._rank_one_certificate(
+        b, sdp._psd_factor(b) if problem.factor is None else problem.factor)
+
+
 def certificate_declines(problem):
     """True when ``solve`` goes on to the interior-point method."""
-    return sdp._rank_one_certificate(problem.objective, problem.factor) is None
+    return certificate(problem) is None
 
 
 def assert_certified(sol, problem):
     """``sol`` is the certified rank-one optimum, reached in power steps."""
-    cert = sdp._rank_one_certificate(problem.objective, problem.factor)
+    cert = certificate(problem)
     assert cert is not None
     np.testing.assert_array_equal(sol.gram, cert.gram)
     assert 1 <= sol.iterations == cert.iterations <= sdp.POWER_MAX_STEPS
@@ -54,6 +66,15 @@ class TestSolve:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ConfigurationError):
             SdpProblem(objective=np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+    @pytest.mark.parametrize("call", [
+        SdpProblem,
+        variance_lower_bound,
+        lambda b: optimize_phases(b, PhaseStrategy(ALL_ONES), RngStream(0)),
+    ], ids=["sdp_problem", "variance_lower_bound", "optimize_phases"])
+    def test_empty_objective_rejected(self, call):
+        with pytest.raises(ConfigurationError, match="non-empty square"):
+            call(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -223,8 +244,9 @@ class TestRankOneCertificate:
     @pytest.mark.parametrize("n,m,seed", [(4, 4, 0), (6, 4, 1), (10, 4, 2), (30, 1, 3),
                                           (5, 16, 4)])
     def test_certified_dual_is_feasible(self, n, m, seed):
-        # With B's factor (M < N only) the certificate lifts y by each
-        # coordinate's share of the gap budget instead of the least lift.
+        # With fisher_factor's F (M < N only) or the one derived from
+        # eigh(B), the certificate lifts y by each coordinate's share of the
+        # gap budget, so the least lift is at most that share.
         b, channel, scenario = fisher_instance(n, m, seed)
         for problem in (SdpProblem(b), SdpProblem(b, fisher_factor(channel, scenario))):
             sol = solve(problem)
@@ -279,8 +301,8 @@ class TestRankOneCertificate:
             SdpProblem(PI3_B, factor)
 
     def test_nan_certificate_falls_through_to_ipm(self, monkeypatch):
-        # The certificate's only eigvalsh call is lambda_min(Diag(y) - B),
-        # its first; a NaN there must send solve on to the IPM.
+        # The certificate's only eigvalsh call is its dual test, the first
+        # call; a NaN there must send solve on to the IPM.
         problem = SdpProblem(fisher_instance(6, 1, 0)[0])
         certified = solve(problem)
         assert_certified(certified, problem)
@@ -295,6 +317,46 @@ class TestRankOneCertificate:
         assert_interior_point(sol, problem)
         assert sol.duality_gap <= sdp.GAP_TOL * max(1.0, abs(sol.objective_value))
         assert sol.objective_value == pytest.approx(certified.objective_value, rel=1e-7)
+
+
+class TestIndefiniteObjective:
+    """Without a factor the certificate works from B's PSD part F^H F >= B,
+    so its bound holds for any Hermitian B, indefinite or zero."""
+
+    def test_zero_is_certified(self):
+        sol = solve(SdpProblem(np.zeros((3, 3))))
+        assert sol.factor.shape == (3, 1)
+        assert sol.objective_value == 0.0
+        assert 0.0 <= sol.duality_gap <= sdp.GAP_TOL
+
+    @pytest.mark.parametrize("b", [-np.eye(3), np.diag([1.0, -1.0])],
+                             ids=["minus_identity", "diag_1_minus_1"])
+    def test_negative_part_declined(self, b):
+        problem = SdpProblem(b)
+        assert certificate_declines(problem)
+        assert_interior_point(solve(problem), problem)
+
+    def test_certified_bound_holds(self):
+        # G G^H of rank r <= n less s I, s from 1e-14 to 1: indefinite for
+        # r < n, and certified when s is small enough.
+        indefinite = 0
+        for seed in range(40):
+            gen = np.random.default_rng(900 + seed)
+            n = int(gen.integers(2, 9))
+            r = int(gen.integers(1, n + 1))
+            g = gen.standard_normal((n, r)) + 1j * gen.standard_normal((n, r))
+            problem = SdpProblem(g @ g.conj().T - 10.0 ** gen.uniform(-14, 0) * np.eye(n))
+            b = problem.objective
+            sol = certificate(problem)
+            if sol is None:
+                continue
+            indefinite += np.linalg.eigvalsh(b)[0] < 0
+            a = sol.factor[:, 0]
+            assert abs(sol.objective_value - quad(a, b)) <= 1e-12 * max(1.0, abs(quad(a, b)))
+            ipm = sdp._interior_point(b)
+            assert sol.objective_value + sol.duality_gap \
+                >= ipm.objective_value - ipm.duality_gap
+        assert indefinite > 0
 
 
 def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
@@ -360,10 +422,11 @@ class TestFactor:
         problem = SdpProblem(fisher_instance(100, 1, 3)[0])
         calls.clear()
         certified = solve(problem)
-        assert calls == ["eigh", "eigvalsh"]  # the certificate's start and dual
+        # The derived factor, the certificate's start and its dual test.
+        assert calls == ["eigh", "eigh", "eigvalsh"]
         extract_rank_one(certified, problem, RngStream(0, 0))
         extract_rank_one(ipm, ipm_problem, RngStream(0, 0))
-        assert calls == ["eigh", "eigvalsh"]
+        assert calls == ["eigh", "eigh", "eigvalsh"]
 
     @pytest.mark.parametrize("n,seed", IPM_INSTANCES)
     def test_interior_point_rounding_matches_reference(self, n, seed):
