@@ -12,8 +12,8 @@ B has rank at most M. When M < N, ``fisher_factor`` gives its M x N factor
 F = L^{-1} H, B = F^H F, with L the lower Cholesky factor of C. The nonzero
 eigenvalues of B are those of the M x M F F^H, so ``variance_lower_bound``
 and the SDP's rank-one certificate take lambda_max(B) from an M x M
-eigensolve when they are given F. Every other step reads the dense B of
-``fisher_matrix``.
+eigensolve when they are given F. ``ml_weights`` alone gives the estimate's
+weights C^{-1} H a and a^H B a, to ``ml_estimate`` and the Monte Carlo check.
 """
 
 from __future__ import annotations
@@ -110,25 +110,29 @@ def check_unit_modulus(a: np.ndarray) -> None:
 
 
 @single_threaded()
-def ml_estimate(
-    y: np.ndarray,
-    channel: ChannelRealization,
-    scenario: Scenario,
-    a: np.ndarray,
-) -> complex:
-    """ML estimate theta_hat = a^H H^H C^{-1} y / (a^H H^H C^{-1} H a)."""
+def ml_weights(
+    channel: ChannelRealization, scenario: Scenario, a: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Weights of theta_hat = g^H y / q at phases a: g = C^{-1} H a, q = a^H B a."""
     h = channel.matrix
     a = np.asarray(a)
     if a.shape != (h.shape[1],):
         raise ConfigurationError("phase vector length must equal the number of sensors")
-    c = noise_covariance(channel, scenario)
-    cf = lapack.cho_factor(c)
     ha = h @ a
-    g = lapack.cho_solve(cf, ha)  # C^{-1} H a
-    denom = float(np.real(np.vdot(ha, g)))
-    if denom <= np.finfo(float).tiny:
+    g = lapack.cho_solve(lapack.cho_factor(noise_covariance(channel, scenario)), ha)
+    q = float(np.real(np.vdot(ha, g)))
+    if q <= np.finfo(float).tiny:
         raise DegenerateInstanceError("a^H B a vanishes (all-zero channel?)")
-    return complex(np.vdot(g, y) / denom)
+    return g, q
+
+
+@single_threaded()
+def ml_estimate(
+    y: np.ndarray, channel: ChannelRealization, scenario: Scenario, a: np.ndarray
+) -> complex:
+    """ML estimate theta_hat = a^H H^H C^{-1} y / (a^H H^H C^{-1} H a)."""
+    g, q = ml_weights(channel, scenario, a)
+    return complex(np.vdot(g, y) / q)
 
 
 @single_threaded()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, lapack
+from . import asymptotics
 from .blas import single_threaded
 from .channel import (
     ChannelRealization,
@@ -32,7 +32,7 @@ from .estimator import (
     estimator_variance,
     fisher_factor,
     fisher_matrix,
-    noise_covariance,
+    ml_weights,
     variance_lower_bound,
 )
 from .phase_opt import (
@@ -260,12 +260,11 @@ def verify_unbiasedness(
     variance. Sample variance is the total complex error power (real plus
     imaginary parts), which is what the variance formula predicts.
 
-    Each estimate g^H y / q is formed by linearity, without making y:
-    theta g^H H a / q, plus the sensor noise projected onto a * H^T g* / q
-    and the FC noise onto g* / q (``gaussian_projection``), from the draws
-    that synthesizing y takes. Peak memory is two estimate vectors, 32 bytes
-    per trial, plus one noise block: 0.76 MiB at N = 30, M = 16 and 20000
-    trials (tracemalloc), where synthesizing y took 10.3 MiB."""
+    Each estimate is g^H y / q with ``ml_weights``' g and q (g = H a if
+    noiseless), formed without y: theta g^H H a / q plus the sensor noise
+    projected onto a * H^T g* / q and the FC noise onto g* / q, every sensor
+    noise draw first, as synthesis draws. One trial is ``ml_estimate`` of the
+    y that ``synthesize_received_signal`` draws from the same stream."""
     a = np.asarray(a, dtype=complex)
     h = channel.matrix
     t = check_count("trials", trials)
@@ -274,13 +273,10 @@ def verify_unbiasedness(
     sv = scenario.sensor_noise_powers
     ha = h @ a
     if scenario.fc_noise_power == 0 and np.all(sv == 0):
-        g = ha  # noiseless limit: matched filter recovers theta exactly
+        g, q = ha, float(np.real(np.vdot(ha, ha)))  # the matched filter
     else:
-        c = noise_covariance(channel, scenario)
-        g = lapack.cho_solve(lapack.cho_factor(c), ha)
-    q = float(np.real(np.vdot(ha, g)))
+        g, q = ml_weights(channel, scenario, a)
     gq = g.conj() / q
-    # Every sensor noise draw comes before the FC noise's, as synthesis draws.
     estimates = gaussian_projection(gen, sv, (t, scenario.n_sensors), a * (h.T @ gq))
     estimates += gaussian_projection(
         gen, scenario.fc_noise_power, (t, scenario.n_antennas), gq)

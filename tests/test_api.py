@@ -44,7 +44,8 @@ PUBLIC = {
 }
 
 # The sweep and verification entry points, the grid oracle, the unit-modulus
-# check, and the config and report dataclasses outside __all__.
+# check, the ML estimate's weights, and the config and report dataclasses
+# outside __all__.
 MODULES = {
     montecarlo: {
         "run_sweep": ("config",),
@@ -71,6 +72,7 @@ MODULES = {
     },
     estimator: {
         "check_unit_modulus": ("a",),
+        "ml_weights": ("channel", "scenario", "a"),
     },
 }
 

@@ -138,6 +138,11 @@ def _call_fisher_factor():
     return lambda: estimator.fisher_factor(chan, scenario)
 
 
+def _call_ml_weights():
+    scenario, chan = instance()
+    return lambda: estimator.ml_weights(chan, scenario, np.ones(scenario.n_sensors))
+
+
 def _call_ml_estimate():
     scenario, chan = instance()
     a = np.ones(scenario.n_sensors, dtype=complex)
@@ -212,6 +217,7 @@ SCOPED = [
     ("fisher_matrix", estimator, "noise_covariance", lambda: _call_fisher(6, 3)),
     ("fisher_matrix_m_gt_n", lapack, "cho_solve", lambda: _call_fisher(3, 6)),
     ("fisher_factor", lapack, "solve_triangular", _call_fisher_factor),
+    ("ml_weights", lapack, "cho_solve", _call_ml_weights),
     ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
     ("variance_lower_bound", lapack, "eigvalsh", _call_variance_lower_bound),
@@ -221,7 +227,7 @@ SCOPED = [
     ("extract_rank_one", phasefuse.sdp, "phase_normalize", _call_extract_rank_one),
     ("solve_bare_objective", lapack, "eigh", _call_solve_bare_objective),
     ("run_sweep", montecarlo, "fisher_matrix", _call_run_sweep),
-    ("verify_unbiasedness", montecarlo, "noise_covariance", _call_verify_unbiasedness),
+    ("verify_unbiasedness", estimator, "noise_covariance", _call_verify_unbiasedness),
     ("verify_diagonal_concentration", montecarlo, "generate_channel",
      _call_verify_concentration),
 ]
@@ -275,6 +281,8 @@ RAISING = {
     "fisher_factor": lambda: estimator.fisher_factor(*instance(fc_noise_power=0.0)[::-1]),
     "noise_covariance": lambda: estimator.noise_covariance(
         *instance(fc_noise_power=0.0)[::-1]),
+    "ml_weights": lambda: estimator.ml_weights(
+        *instance(fc_noise_power=0.0)[::-1], np.ones(6)),
     "ml_estimate": lambda: estimator.ml_estimate(
         np.zeros(3, dtype=complex), *instance(fc_noise_power=0.0)[::-1], np.ones(6)),
     "estimator_variance": lambda: estimator.estimator_variance(np.full(6, 2.0), fisher()),

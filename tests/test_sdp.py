@@ -359,6 +359,72 @@ class TestIndefiniteObjective:
         assert indefinite > 0
 
 
+def two_antenna_optimum(f, levels=8, block=1 << 14):
+    """Bounds (lo, hi) on max a^H F^H F a over unit-modulus a, for a 2 x N
+    factor F, found without the relaxation.
+
+    The maximum is max over unit c of (sum_i |f_i^H c|)^2, f_i the columns
+    of F, and c up to a global phase is the point (cos(t/2), e^{ip} sin(t/2))
+    of the 2-sphere. Points an angle g apart are 2 sin(g/4) <= g/2 apart up
+    to phase, so the sum moves at most L g / 2 between them, with L = sum_i
+    ||f_i|| (Karystinos & Liavas 2010). A (t, p) cell of widths (dt, dp) lies
+    within (dt + dp) / 2 of its centre: the best centre bounds the sum from
+    below, each centre's value plus L (dt + dp) / 4 bounds its cell from
+    above, and the cells whose bound falls below the best centre are
+    dropped before each halving."""
+    lip = float(np.sum(np.linalg.norm(f, axis=0)))
+    dt = dp = np.pi / 16
+    t, p = (x.ravel() for x in np.meshgrid((np.arange(16) + 0.5) * dt,
+                                           (np.arange(32) + 0.5) * dp, indexing="ij"))
+    for level in range(levels + 1):
+        value = np.empty(t.size)
+        for s in range(0, t.size, block):  # bounded memory: N x block at a time
+            c = np.stack([np.cos(t[s:s + block] / 2),
+                          np.exp(1j * p[s:s + block]) * np.sin(t[s:s + block] / 2)])
+            value[s:s + block] = np.abs(f.conj().T @ c).sum(axis=0)
+        best, upper = float(value.max()), value + lip * (dt + dp) / 4
+        if level == levels:
+            return best ** 2, float(upper.max()) ** 2
+        keep = upper >= best
+        t, p, dt, dp = t[keep], p[keep], dt / 2, dp / 2
+        t = np.concatenate([t - dt / 2, t + dt / 2, t - dt / 2, t + dt / 2])
+        p = np.concatenate([p - dp / 2, p - dp / 2, p + dp / 2, p + dp / 2])
+
+
+class TestSolverContract:
+    """What any solver of the relaxation must return, checked on Fisher
+    instances through ``solve``'s result and the rounding."""
+
+    @pytest.mark.parametrize("n,m,seed", [(30, 4, 0), (30, 4, 1), (30, 4, 2), (60, 4, 0),
+                                          (60, 4, 3), (60, 16, 0), (60, 16, 1)])
+    def test_declined_gram_has_rank_at_most_m(self, n, m, seed):
+        # A dual-feasible Diag(y) - B has y_i >= B_ii > 0, so rank at least
+        # N - M, and complementary slackness leaves every optimal gram rank
+        # M at most. Measured 2 to 4 here (4 at N = 60, M = 4, seed 3), and
+        # 2 to 3 on fig1's declined instances.
+        b, channel, scenario = fisher_instance(n, m, seed)
+        problem = SdpProblem(b, fisher_factor(channel, scenario))
+        assert certificate_declines(problem)
+        w = np.linalg.eigvalsh(solve(problem).gram)
+        assert 1 <= np.sum(w > 1e-6 * w[-1]) <= m
+
+    @pytest.mark.parametrize("n,seed", [(10, 0), (10, 1), (10, 4), (30, 0), (30, 4), (30, 6)])
+    def test_two_antennas_against_exact_optimum(self, n, seed):
+        # The oracle brackets the optimum within 0.11% (measured). The
+        # relaxation bounds it from above; the rounding reached at least
+        # 0.99714 of its lower end (N = 30, seed 4; the others 0.99994).
+        b, channel, scenario = fisher_instance(n, 2, seed)
+        f = fisher_factor(channel, scenario)
+        lo, hi = two_antenna_optimum(f)
+        assert lo <= hi <= lo * (1 + 2e-3)
+        problem = SdpProblem(b, f)
+        sol = solve(problem)
+        q = quad(extract_rank_one(sol, problem, RngStream(seed, 0)), b)
+        assert q <= hi
+        assert lo <= sol.objective_value + sol.duality_gap
+        assert q >= 0.995 * lo
+
+
 def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
     """The rounding before ``SdpSolution`` carried a factor: it
     eigendecomposes the gram itself and scores each candidate with a
