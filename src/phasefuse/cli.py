@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from operator import attrgetter
 from types import SimpleNamespace
@@ -264,7 +265,7 @@ def emit_plot_script(result: SweepResult, path: str, csv_path: str) -> None:
         else "number of FC antennas M"
     # figure name derives from the CSV, so the script bytes depend only on
     # the result contents, not on where the script itself is written
-    png_name = csv_path.rsplit(".", 1)[0] + ".png"
+    png_name = os.path.splitext(csv_path)[0] + ".png"
     _write_text(
         PLOT_TEMPLATE.format(csv_path=csv_path, xlabel=xlabel, png_path=png_name), path
     )

@@ -264,7 +264,9 @@ def verify_unbiasedness(
     noiseless), formed without y: theta g^H H a / q plus the sensor noise
     projected onto a * H^T g* / q and the FC noise onto g* / q, every sensor
     noise draw first, as synthesis draws. One trial is ``ml_estimate`` of the
-    y that ``synthesize_received_signal`` draws from the same stream."""
+    y that ``synthesize_received_signal`` draws from the same stream. A
+    vanishing q (an all-zero channel) raises DegenerateInstanceError, with
+    noise or without."""
     a = np.asarray(a, dtype=complex)
     h = channel.matrix
     t = check_count("trials", trials)
@@ -274,6 +276,8 @@ def verify_unbiasedness(
     ha = h @ a
     if scenario.fc_noise_power == 0 and np.all(sv == 0):
         g, q = ha, float(np.real(np.vdot(ha, ha)))  # the matched filter
+        if q <= np.finfo(float).tiny:
+            raise DegenerateInstanceError("a^H H^H H a vanishes (all-zero channel?)")
     else:
         g, q = ml_weights(channel, scenario, a)
     gq = g.conj() / q
@@ -285,9 +289,8 @@ def verify_unbiasedness(
     mean = complex(np.mean(estimates))
     err = np.subtract(estimates, mean, out=estimates)
     sample_var = float(np.sum(np.abs(err) ** 2) / max(t - 1, 1))
-    predicted = 1.0 / q if q > 0 else 0.0
-    std_of_mean = np.sqrt(predicted / t) if predicted > 0 else np.finfo(float).tiny
-    z = abs(mean - scenario.theta) / std_of_mean
+    predicted = 1.0 / q
+    z = abs(mean - scenario.theta) / np.sqrt(predicted / t)
     return UnbiasednessReport(trials=t, sample_mean=mean, sample_variance=sample_var,
                               predicted_variance=predicted, mean_z_score=float(z))
 

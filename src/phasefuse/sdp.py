@@ -12,6 +12,11 @@ quantity driven to zero.
 The diagonal constraint structure makes the Schur complement of the Newton
 system simply the elementwise squared modulus of the scaling matrix W,
 so each iteration costs a handful of dense N x N eigendecompositions.
+Its working set is about 10 N x N complex arrays: X, Z, three scratch
+buffers that every product and sum is written into (``out=``), Z^{-1}, W
+and the arrays that LAPACK returns or copies, each dropped after its last
+reader. Each product and sum takes the operands, in the order, that it
+would with a fresh array for every result, so the bits are the same.
 
 ``solve`` and ``extract_rank_one`` run with OpenBLAS on one thread
 (``blas.single_threaded``): on matrices this small, worker threads cost more
@@ -135,26 +140,44 @@ class SdpSolution:
     iterations: int           # IPM iterations, or power steps of a certified a a^H
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
+def _herm(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(X + X^H) / 2 written into ``out``, which must not be ``x``."""
+    np.conjugate(x.T, out=out)
+    np.add(x, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral(
+    q: np.ndarray, values: np.ndarray, qh: np.ndarray, scaled: np.ndarray, out: np.ndarray,
+) -> np.ndarray:
+    """Q Diag(values) Q^H written into ``out``, with ``qh`` = Q^H and ``scaled``
+    a buffer for Q Diag(values)."""
+    return np.matmul(np.multiply(q, values, out=scaled), qh, out=out)
+
+
+def _nt_scaling(
+    x: np.ndarray, z: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Nesterov-Todd scaling point W with W Z W = X, plus Z^{-1}.
 
-    W = Z^{-1/2} (Z^{1/2} X Z^{1/2})^{1/2} Z^{-1/2}.
+    W = Z^{-1/2} (Z^{1/2} X Z^{1/2})^{1/2} Z^{-1/2}. ``p``, ``q`` and ``r``
+    are scratch buffers, overwritten; W and Z^{-1} are new arrays.
     """
+    tiny = np.finfo(float).tiny
     wz, qz = lapack.eigh(z)
-    wz = np.maximum(wz, np.finfo(float).tiny)
-    z_half = (qz * np.sqrt(wz)) @ qz.conj().T
-    z_ihalf = (qz * (1.0 / np.sqrt(wz))) @ qz.conj().T
-    z_inv = (qz * (1.0 / wz)) @ qz.conj().T
-    s = _herm(z_half @ x @ z_half)
+    wz = np.maximum(wz, tiny)
+    qzh = np.conjugate(qz.T, out=p)
+    z_inv = _spectral(qz, 1.0 / wz, qzh, q, np.empty_like(x))
+    z_ihalf = _spectral(qz, 1.0 / np.sqrt(wz), qzh, q, np.empty_like(x))
+    z_half = _spectral(qz, np.sqrt(wz), qzh, q, r)
+    del qz
+    s = _herm(np.matmul(np.matmul(z_half, x, out=p), z_half, out=q), out=p)
     ws, qs = lapack.eigh(s)
-    ws = np.maximum(ws, np.finfo(float).tiny)
-    s_half = (qs * np.sqrt(ws)) @ qs.conj().T
-    w = _herm(z_ihalf @ s_half @ z_ihalf)
-    return w, z_inv
+    ws = np.maximum(ws, tiny)
+    s_half = _spectral(qs, np.sqrt(ws), np.conjugate(qs.T, out=q), p, r)
+    del qs
+    w = np.matmul(np.matmul(z_ihalf, s_half, out=p), z_ihalf, out=q)
+    return _herm(w, out=z_ihalf), z_inv
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -235,63 +258,89 @@ def _rank_one_certificate(b: np.ndarray, factor: np.ndarray) -> SdpSolution | No
     return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
 
 
+def _trace_of_product(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
+    """Re tr(left right), the product written into ``out``."""
+    return float(np.real(np.trace(np.matmul(left, right, out=out))))
+
+
+def _newton_step(
+    x: np.ndarray, z: np.ndarray, gap: float,
+    dx: np.ndarray, dz: np.ndarray, scratch: np.ndarray,
+) -> tuple[float, float]:
+    """One predictor-corrector step from (X, Z): the corrector direction is
+    written into ``dx`` and ``dz`` and its primal and dual step lengths are
+    returned. ``scratch`` is overwritten; W, Z^{-1} and the Cholesky factor
+    of the Schur complement are freed on return."""
+    n = x.shape[0]
+    ones = np.ones(n)
+    mu = gap / n
+    w, z_inv = _nt_scaling(x, z, dx, dz, scratch)
+    # (|W_ij|^2), symmetric PD: the real part of W * conj(W), a view of dz.
+    cf = lapack.cho_factor(np.multiply(w, np.conjugate(w, out=dz), out=dz).real)
+    diag_zinv = np.real(np.diag(z_inv))
+
+    def direction(sigma_mu: float) -> None:
+        # dX = Herm((sigma_mu Z^{-1} - X) + (W Diag(dy)) W), summed in that
+        # order, and dZ = -Diag(dy).
+        dy = lapack.cho_solve(cf, ones - sigma_mu * diag_zinv)
+        np.subtract(np.multiply(sigma_mu, z_inv, out=scratch), x, out=scratch)
+        np.matmul(np.multiply(w, dy[np.newaxis, :], out=dz), w, out=dx)
+        _herm(np.add(scratch, dx, out=scratch), out=dx)
+        dz.fill(0.0)
+        np.fill_diagonal(dz, dy)
+        np.negative(dz, out=dz)
+
+    # Predictor (affine direction) fixes the centering parameter.
+    direction(0.0)
+    ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
+    ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+    gap_aff = _trace_of_product(np.add(x, np.multiply(ap, dx, out=dx), out=dx),
+                                np.add(z, np.multiply(ad, dz, out=dz), out=dz), scratch)
+    sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-6))
+
+    direction(sigma * mu)
+    ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
+    ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+    return ap, ad
+
+
 def _interior_point(b: np.ndarray) -> SdpSolution:
     """The primal-dual IPM from X = I (see the module docstring)."""
     n = b.shape[0]
-    ones = np.ones(n)
     lam_max = float(np.max(lapack.eigvalsh(b)))
     scale = max(1.0, abs(lam_max))
 
+    # X, Z and three scratch buffers, all C-ordered: the eigenvectors come
+    # F-ordered, so a buffer allocated like them (or an elementwise result of
+    # them) is F-ordered, and a matmul into an F-ordered out changes the bits.
     x = np.eye(n, dtype=complex)
-    z = _herm(np.diag(np.full(n, lam_max + scale)).astype(complex) - b)
+    dx, dz, scratch = (np.empty_like(x) for _ in range(3))
+    z = _herm(np.diag(np.full(n, lam_max + scale)).astype(complex) - b, out=np.empty_like(x))
 
     iterations = 0
-    gap = float(np.real(np.trace(x @ z)))
+    gap = _trace_of_product(x, z, scratch)
     for iterations in range(1, MAX_ITER + 1):
-        obj = float(np.real(np.trace(b @ x)))
+        obj = _trace_of_product(b, x, scratch)
         if gap <= GAP_TOL * max(1.0, abs(obj)):
             iterations -= 1
             break
-
-        mu = gap / n
         try:
-            w, z_inv = _nt_scaling(x, z)
-            schur = np.real(w * w.conj())  # (|W_ij|^2), symmetric PD
-            cf = lapack.cho_factor(schur)
-            diag_zinv = np.real(np.diag(z_inv))
-
-            def direction(sigma_mu: float):
-                dy = lapack.cho_solve(cf, ones - sigma_mu * diag_zinv)
-                dz = -np.diag(dy).astype(complex)
-                dx = _herm(sigma_mu * z_inv - x + (w * dy[np.newaxis, :]) @ w)
-                return dx, dz
-
-            # Predictor (affine direction) fixes the centering parameter.
-            dx_a, dz_a = direction(0.0)
-            ap = min(1.0, STEP_FRACTION * _max_step(x, dx_a))
-            ad = min(1.0, STEP_FRACTION * _max_step(z, dz_a))
-            gap_aff = float(np.real(np.trace((x + ap * dx_a) @ (z + ad * dz_a))))
-            sigma = min(1.0, max((max(gap_aff, 0.0) / gap) ** 3, 1e-6))
-
-            dx, dz = direction(sigma * mu)
-            ap = min(1.0, STEP_FRACTION * _max_step(x, dx))
-            ad = min(1.0, STEP_FRACTION * _max_step(z, dz))
+            ap, ad = _newton_step(x, z, gap, dx, dz, scratch)
         except (np.linalg.LinAlgError, lapack.NonFiniteError):
             # X or Z has lost numerical definiteness near the optimum, or a
             # NaN or inf reached a LAPACK call. Keep the last iterate, which
             # may hold that NaN, and let the NaN-safe check in solve decide.
             iterations -= 1
             break
-
-        x = _herm(x + ap * dx)
-        z = _herm(z + ad * dz)
-        gap = float(np.real(np.trace(x @ z)))
+        _herm(np.add(x, np.multiply(ap, dx, out=dx), out=dx), out=x)
+        _herm(np.add(z, np.multiply(ad, dz, out=dz), out=dz), out=z)
+        gap = _trace_of_product(x, z, scratch)
 
     # One eigendecomposition of the final X gives the factor, with the
     # eigenvalues below EIG_CLIP_REL * lambda_max clipped, and lambda_min.
     w, u = lapack.eigh(x)
     factor = u * np.sqrt(np.where(w < EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w))
-    return _solution(x, factor, float(w[0]), float(np.real(np.trace(b @ x))), gap, iterations)
+    return _solution(x, factor, float(w[0]), _trace_of_product(b, x, scratch), gap, iterations)
 
 
 @single_threaded()

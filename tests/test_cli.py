@@ -202,6 +202,9 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("csv_path,png_path,sha256", [
         ("out/fig1.csv", "out/fig1.png",
          "1905440a16cc9bfd8bafee2ea35b44f1c1217441cfcaae01c0adaaa309c598ef"),
+        # A dot in a directory name is not an extension.
+        ("runs.v2/fig1", "runs.v2/fig1.png",
+         "38b26af98071a91834cc93f3042d63de48cadf061313831f6321c73cc0fca698"),
     ])
     def test_plot_script(self, tmp_path, csv_path, png_path, sha256):
         path = tmp_path / "plot.py"

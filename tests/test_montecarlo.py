@@ -382,6 +382,14 @@ class TestVerifyUnbiasedness:
         with pytest.raises(DegenerateInstanceError, match="vanishes"):
             verify_unbiasedness(scn, ch, np.ones(4), 10, RngStream(8, 0))
 
+    def test_zero_channel_without_noise_is_degenerate(self):
+        # The noiseless matched filter divides by |H a|^2 = 0 just the same.
+        scn, ch = self._instance(n=3, m=2)
+        scn = dataclasses.replace(scn, fc_noise_power=0.0, sensor_noise_powers=np.zeros(3))
+        ch = dataclasses.replace(ch, matrix=np.zeros_like(ch.matrix))
+        with pytest.raises(DegenerateInstanceError, match="vanishes"):
+            verify_unbiasedness(scn, ch, np.ones(3), 10, RngStream(8, 0))
+
 
     @pytest.mark.parametrize("n,m,trials,noiseless", [
         (4, 4, 1000, False), (30, 16, 2000, False), (3, 1, 1, False), (3, 2, 1000, True),
