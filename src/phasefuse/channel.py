@@ -5,6 +5,12 @@ Channel model: h_i = d_i^{-alpha} * [e^{j g_{i,1}}, ..., e^{j g_{i,M}}]^T
 with phases i.i.d. uniform on [0, 2pi). Sensor measurement noise v is
 circularly-symmetric complex Gaussian with diagonal covariance
 diag(sigma_v^2), FC noise n is CN(0, sigma_n^2 I_M).
+
+Every public array argument is checked by one rule, ``check_shape``: a
+wrong shape raises ConfigurationError naming the argument, its shape and
+the expected shape. A channel must match its scenario: ``channel.matrix``
+is (n_antennas, n_sensors), ``distances`` and ``sensor_noise_powers`` are
+(n_sensors,) and a phase vector ``a`` is (n_sensors,).
 """
 
 from __future__ import annotations
@@ -45,6 +51,31 @@ def check_count(name: str, value, minimum: int = 1) -> int:
     raise ConfigurationError(f"{name} must be >= {minimum} and integral, got {value!r}")
 
 
+def _dims(shape: tuple) -> str:
+    return "(" + ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "") + ")"
+
+
+def check_shape(name: str, array, shape: tuple) -> np.ndarray:
+    """``array`` as an ndarray (a subclass kept) if its shape is ``shape``.
+    An int entry is an exact size; a letter is any size >= 1, the same
+    wherever it repeats, so ``("N", "N")`` is a non-empty square matrix.
+    Otherwise raises ConfigurationError naming ``name``, the shape and the
+    expected shape."""
+    array = np.asanyarray(array)
+    sizes: dict[str, int] = {}
+    if array.ndim == len(shape) and all(
+            # A letter takes the size of its first axis, and every later one
+            # must agree with it.
+            got >= 1 and sizes.setdefault(want, got) == got if isinstance(want, str)
+            else got == want
+            for got, want in zip(array.shape, shape)):
+        return array
+    letters = ", ".join(dict.fromkeys(d for d in shape if isinstance(d, str)))
+    raise ConfigurationError(
+        f"{name} has shape {_dims(array.shape)}, expected {_dims(shape)}"
+        + (f" for some {letters} >= 1" if letters else ""))
+
+
 def set_counts(obj: object, names: tuple[str, ...], minimum: int = 1) -> None:
     """Store each named field of the frozen ``obj`` as ``check_count`` returns it."""
     for name in names:
@@ -64,6 +95,8 @@ class ScenarioParams:
     sensor_noise_range: tuple[float, float] = (0.001, 0.01)
 
     def __post_init__(self):
+        for name in ("distance_range", "sensor_noise_range"):
+            check_shape(name, getattr(self, name), (2,))
         check_finite(self, ("path_loss_exp", "fc_noise_power", "distance_range",
                             "sensor_noise_range"))
         if self.fc_noise_power <= 0:
@@ -110,21 +143,16 @@ class Scenario:
 
     def __post_init__(self):
         set_counts(self, ("n_sensors", "n_antennas"))
-        d = np.asarray(self.distances, dtype=float)
-        sv = np.asarray(self.sensor_noise_powers, dtype=float)
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "sensor_noise_powers", sv)
-        if d.shape != (self.n_sensors,) or sv.shape != (self.n_sensors,):
-            raise ConfigurationError(
-                "distances and sensor_noise_powers must have length n_sensors"
-            )
+        for name in ("distances", "sensor_noise_powers"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, check_shape(name, value, (self.n_sensors,)))
         check_finite(self, ("distances", "sensor_noise_powers", "fc_noise_power",
                              "path_loss_exp", "theta"))
-        if np.any(d <= 0):
+        if np.any(self.distances <= 0):
             raise ConfigurationError("distances must be strictly positive")
         # Zero sensor/FC noise is allowed for noiseless synthesis; estimator
         # routines that need invertibility check fc_noise_power themselves.
-        for name, value in (("sensor_noise_powers", sv),
+        for name, value in (("sensor_noise_powers", self.sensor_noise_powers),
                             ("fc_noise_power", self.fc_noise_power),
                             ("path_loss_exp", self.path_loss_exp)):
             if np.any(value < 0):
@@ -137,6 +165,18 @@ class ChannelRealization:
 
     matrix: np.ndarray  # (M, N) complex
     phases: np.ndarray  # (M, N) real in [0, 2pi)
+
+    def __post_init__(self):
+        matrix = check_shape("matrix", self.matrix, ("M", "N"))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "phases", check_shape("phases", self.phases, matrix.shape))
+
+
+def channel_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
+    """``channel.matrix``, checked to be the (n_antennas, n_sensors) channel
+    of ``scenario``."""
+    return check_shape("channel.matrix", channel.matrix,
+                       (scenario.n_antennas, scenario.n_sensors))
 
 
 def sample_scenario(config: ScenarioConfig, rng: RngStream) -> Scenario:
@@ -214,13 +254,9 @@ def synthesize_received_signal(
     rng: RngStream,
 ) -> np.ndarray:
     """One received vector y = H a theta + H D v + n at the fusion center."""
-    a = np.asarray(a)
-    if a.shape != (scenario.n_sensors,):
-        raise ConfigurationError(
-            f"phase vector has shape {a.shape}, expected ({scenario.n_sensors},)"
-        )
+    h = channel_matrix(channel, scenario)
+    a = check_shape("a", a, (scenario.n_sensors,))
     gen = rng.generator()
     v = complex_gaussian(gen, scenario.sensor_noise_powers, scenario.n_sensors)
     n = complex_gaussian(gen, scenario.fc_noise_power, scenario.n_antennas)
-    h = channel.matrix
     return h @ (a * scenario.theta) + h @ (a * v) + n

@@ -14,6 +14,11 @@ eigenvalues of B are those of the M x M F F^H, so ``variance_lower_bound``
 and the SDP's rank-one certificate take lambda_max(B) from an M x M
 eigensolve when they are given F. ``ml_weights`` alone gives the estimate's
 weights C^{-1} H a and a^H B a, to ``ml_estimate`` and the Monte Carlo check.
+
+Array arguments follow ``channel.check_shape``: B is N x N, a phase vector
+``a`` is (N,), ``y`` is (M,) and the channel matches its scenario; a wrong
+shape raises ConfigurationError naming the argument, its shape and the
+expected shape. A factor F must pass ``check_factor``.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ import numpy as np
 
 from . import lapack
 from .blas import single_threaded
-from .channel import ChannelRealization, Scenario
+from .channel import ChannelRealization, Scenario, channel_matrix, check_shape
 from .errors import ConfigurationError, DegenerateInstanceError
+
+FACTOR_TOL = 1e-10  # diag(F^H F) against diag(B), relative to max(1, max |B_ii|)
 
 
 def _degeneracy_floor(b: np.ndarray) -> float:
@@ -38,7 +45,7 @@ def noise_covariance(channel: ChannelRealization, scenario: Scenario) -> np.ndar
     (channel gains near the square root of the largest double)."""
     if scenario.fc_noise_power <= 0:
         raise ConfigurationError("fc_noise_power must be positive for estimation")
-    h = channel.matrix
+    h = channel_matrix(channel, scenario)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         hv = h * scenario.sensor_noise_powers[np.newaxis, :]
         c = hv @ h.conj().T
@@ -62,7 +69,7 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     Raises DegenerateInstanceError when B overflows in floating point (channel
     gains near the largest double).
     """
-    h = channel.matrix
+    h = channel_matrix(channel, scenario)
     m, n = h.shape
     sv = scenario.sensor_noise_powers
     s = scenario.fc_noise_power
@@ -93,7 +100,7 @@ def fisher_factor(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     where F would be no smaller than B.
 
     Raises DegenerateInstanceError when C overflows in floating point."""
-    h = channel.matrix
+    h = channel_matrix(channel, scenario)
     if h.shape[0] >= h.shape[1]:
         return None
     c = noise_covariance(channel, scenario)
@@ -104,7 +111,23 @@ def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b @ a)))
 
 
+def check_factor(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``factor`` as an ndarray if it can be the factor F of the N x N ``b``,
+    B = F^H F: M x N, finite, and diag(F^H F) = diag(B) within ``FACTOR_TOL``
+    relative to max(1, max |B_ii|). A necessary condition, at O(NM);
+    ``fisher_factor`` gives such an F. Raises ConfigurationError otherwise."""
+    f = check_shape("factor", factor, ("M", b.shape[0]))
+    if not np.isfinite(f).all():
+        raise ConfigurationError("factor must be finite")
+    diag = np.diagonal(b)
+    scale = max(1.0, float(np.abs(diag).max()))
+    if np.abs(np.sum(np.abs(f) ** 2, axis=0) - np.real(diag)).max() > FACTOR_TOL * scale:
+        raise ConfigurationError("factor F must satisfy diag(F^H F) = diag(B)")
+    return f
+
+
 def check_unit_modulus(a: np.ndarray) -> None:
+    a = check_shape("a", a, ("N",))
     if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
         raise ConfigurationError("phase vector entries must have unit modulus")
 
@@ -114,10 +137,8 @@ def ml_weights(
     channel: ChannelRealization, scenario: Scenario, a: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Weights of theta_hat = g^H y / q at phases a: g = C^{-1} H a, q = a^H B a."""
-    h = channel.matrix
-    a = np.asarray(a)
-    if a.shape != (h.shape[1],):
-        raise ConfigurationError("phase vector length must equal the number of sensors")
+    h = channel_matrix(channel, scenario)
+    a = check_shape("a", a, (scenario.n_sensors,))
     ha = h @ a
     g = lapack.cho_solve(lapack.cho_factor(noise_covariance(channel, scenario)), ha)
     q = float(np.real(np.vdot(ha, g)))
@@ -131,6 +152,7 @@ def ml_estimate(
     y: np.ndarray, channel: ChannelRealization, scenario: Scenario, a: np.ndarray
 ) -> complex:
     """ML estimate theta_hat = a^H H^H C^{-1} y / (a^H H^H C^{-1} H a)."""
+    y = check_shape("y", y, (scenario.n_antennas,))
     g, q = ml_weights(channel, scenario, a)
     return complex(np.vdot(g, y) / q)
 
@@ -138,8 +160,10 @@ def ml_estimate(
 @single_threaded()
 def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
     """Eq.-style variance 1 / (a^H B a) at phase vector a."""
-    check_unit_modulus(np.asarray(a))
-    q = _quadratic_form(np.asarray(a), b)
+    b = check_shape("b", b, ("N", "N"))
+    a = check_shape("a", a, (b.shape[0],))
+    check_unit_modulus(a)
+    q = _quadratic_form(a, b)
     if q <= _degeneracy_floor(b):
         raise DegenerateInstanceError("quadratic form a^H B a is degenerate")
     return 1.0 / q
@@ -148,11 +172,14 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
 @single_threaded()
 def variance_lower_bound(b: np.ndarray, factor: np.ndarray | None = None) -> float:
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance, N the
-    order of B. Given B's factor F (``fisher_factor``), lambda_max(B) is
-    that of the smaller F F^H."""
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
-        raise ConfigurationError("B must be a non-empty square matrix")
-    gram = b if factor is None else factor @ factor.conj().T
+    order of B. Given B's factor F (``fisher_factor``, checked by
+    ``check_factor``), lambda_max(B) is that of the smaller F F^H."""
+    b = check_shape("b", b, ("N", "N"))
+    if factor is None:
+        gram = b
+    else:
+        f = check_factor(b, factor)
+        gram = f @ f.conj().T
     lam_max = float(np.max(lapack.eigvalsh(gram)))
     if lam_max <= _degeneracy_floor(b):
         raise DegenerateInstanceError("lambda_max(B) is degenerate")

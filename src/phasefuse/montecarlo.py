@@ -21,7 +21,9 @@ from .channel import (
     Scenario,
     ScenarioConfig,
     ScenarioParams,
+    channel_matrix,
     check_count,
+    check_shape,
     gaussian_projection,
     generate_channel,
     sample_scenario,
@@ -267,8 +269,8 @@ def verify_unbiasedness(
     y that ``synthesize_received_signal`` draws from the same stream. A
     vanishing q (an all-zero channel) raises DegenerateInstanceError, with
     noise or without."""
-    a = np.asarray(a, dtype=complex)
-    h = channel.matrix
+    h = channel_matrix(channel, scenario)
+    a = check_shape("a", np.asarray(a, dtype=complex), (scenario.n_sensors,))
     t = check_count("trials", trials)
     gen = rng.generator()
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lapack, sdp
 from .blas import single_threaded
-from .channel import ChannelRealization, Scenario
+from .channel import ChannelRealization, Scenario, check_shape
 from .errors import ConfigurationError
 from .estimator import (
     estimator_variance,
@@ -66,9 +66,7 @@ def optimize_phases_n2(b: np.ndarray) -> np.ndarray:
     Maximizes a^H B a = B11 + B22 + 2 Re(B12 e^{-j(phi1 - phi2)}), attained
     when phi1 - phi2 = arg(B12); value B11 + B22 + 2|B12|.
     """
-    b = np.asarray(b)
-    if b.shape != (2, 2):
-        raise ConfigurationError("closed form requires N = 2")
+    b = check_shape("b", b, (2, 2))
     b12 = b[0, 1]
     if b12 == 0:
         return np.ones(2, dtype=complex)
@@ -79,7 +77,7 @@ def grid_search(b: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive search over quantized relative phases (first phase fixed
     to 0): a 1 degree grid for N <= 3 and a 4 degree grid for N = 4.
     Returns (best vector, best quadratic form). Guarded to N <= 4."""
-    b = np.asarray(b)
+    b = check_shape("b", b, ("N", "N"))
     n = b.shape[0]
     if n > _GRID_MAX_SENSORS:
         raise ConfigurationError(f"grid oracle limited to N <= {_GRID_MAX_SENSORS}")
@@ -119,8 +117,8 @@ def optimize_phases(
     lower bound and the SDP's rank-one certificate take their spectral data
     from the M x M F F^H; every other step reads B."""
     b = np.asarray(b)
-    n = b.shape[0]
     lower = variance_lower_bound(b, factor)
+    n = b.shape[0]
     relaxation_value = None
 
     if strategy.kind == CLOSED_FORM_N2:
@@ -147,7 +145,7 @@ def optimize_phases(
 def eigenvector_rounding(b: np.ndarray) -> np.ndarray:
     """Phase-normalized leading eigenvector of B; the convergence-failure
     fallback used by the experiment harness."""
-    _, u = lapack.eigh(b)
+    _, u = lapack.eigh(check_shape("b", b, ("N", "N")))
     return sdp.phase_normalize(u[:, -1])
 
 

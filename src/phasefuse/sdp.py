@@ -68,7 +68,9 @@ import numpy as np
 
 from . import lapack
 from .blas import single_threaded
+from .channel import check_shape
 from .errors import ConfigurationError, ConvergenceError
+from .estimator import check_factor
 from .rng import RngStream
 
 HERMITIAN_TOL = 1e-12
@@ -78,7 +80,6 @@ GAP_TOL = 1e-9
 MAX_ITER = 200
 NUM_CANDIDATES = 100  # random candidates of the rank-one rounding
 EIG_CLIP_REL = 1e-12
-FACTOR_TOL = 1e-10  # diag(F^H F) against diag(B), relative to max(1, max |B_ij|)
 STEP_FRACTION = 0.98
 # The rank-one certificate's power iteration stops once a step raises
 # a^H B a by at most POWER_REL_GAIN relative, or after POWER_MAX_STEPS steps.
@@ -89,17 +90,16 @@ POWER_REL_GAIN = 1e-15
 @dataclass(frozen=True)
 class SdpProblem:
     """Hermitian objective B of the relaxation max tr(B A), and optionally a
-    factor F of B = F^H F (M x N), from which the rank-one certificate takes
-    its spectral data; ``estimator.fisher_factor`` gives one when M < N.
-    Without it, ``solve`` derives one from ``eigh(B)``."""
+    factor F of B = F^H F (M x N, checked by ``estimator.check_factor``),
+    from which the rank-one certificate takes its spectral data;
+    ``estimator.fisher_factor`` gives one when M < N. Without it, ``solve``
+    derives one from ``eigh(B)``."""
 
     objective: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.objective, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
-            raise ConfigurationError("objective must be a non-empty square matrix")
+        b = check_shape("objective", np.asarray(self.objective, dtype=complex), ("N", "N"))
         if not np.isfinite(b).all():
             raise ConfigurationError("objective must be finite")
         scale = max(1.0, float(np.abs(b).max()))
@@ -107,13 +107,7 @@ class SdpProblem:
             raise ConfigurationError("objective must be Hermitian")
         object.__setattr__(self, "objective", 0.5 * (b + b.conj().T))
         if self.factor is not None:
-            f = np.asarray(self.factor, dtype=complex)
-            if f.ndim != 2 or f.shape[1] != b.shape[0] or not np.isfinite(f).all():
-                raise ConfigurationError("factor must be a finite matrix with N columns")
-            # A necessary condition for F^H F = B, at O(NM).
-            diag = np.real(np.diag(b))
-            if np.abs(np.sum(np.abs(f) ** 2, axis=0) - diag).max() > FACTOR_TOL * scale:
-                raise ConfigurationError("factor F must satisfy diag(F^H F) = diag(B)")
+            f = check_factor(b, np.asarray(self.factor, dtype=complex))
             object.__setattr__(self, "factor", f)
 
     @property
@@ -397,7 +391,7 @@ def extract_rank_one(
     """
     b = problem.objective
     n = problem.dimension
-    v = solution.factor
+    v = check_shape("solution.factor", solution.factor, (n, "K"))
 
     thetas = rng.generator().uniform(0.0, 2.0 * np.pi, size=(NUM_CANDIDATES, v.shape[1]))
     r = np.exp(1j * thetas)  # rows are random unit-modulus vectors

@@ -4,9 +4,13 @@ removed anywhere shows up as a diff of this table."""
 
 import dataclasses
 import inspect
+import re
+
+import numpy as np
+import pytest
 
 import phasefuse
-from phasefuse import estimator, montecarlo, phase_opt
+from phasefuse import ConfigurationError, estimator, montecarlo, phase_opt
 
 # Callables in phasefuse.__all__: parameters, or fields for a dataclass.
 PUBLIC = {
@@ -95,3 +99,72 @@ def test_public_callables_match_the_table():
 def test_entry_points_and_dataclasses_match_the_table():
     for module, table in MODULES.items():
         assert {name: parameters(getattr(module, name)) for name in table} == table
+
+
+# Wrong-shape input for every parameter that is an array or carries one (a
+# channel its matrix, a solution its factor), and a valid value for every
+# other parameter the tables name. The report dataclasses are results, which
+# the library writes and never reads back.
+RESULTS = {"OptimizationReport", "SdpSolution", "SweepResult", "PointResult", "StrategyStats",
+           "UnbiasednessReport", "ConcentrationReport", "ConcentrationPoint"}
+SCENARIO = phasefuse.Scenario(n_sensors=4, n_antennas=2, path_loss_exp=1.0,
+                              fc_noise_power=0.1, distances=[2.0, 3.0, 4.0, 5.0],
+                              sensor_noise_powers=[0.01] * 4)
+CHANNEL = phasefuse.generate_channel(SCENARIO, phasefuse.RngStream(0))
+B = phasefuse.fisher_matrix(CHANNEL, SCENARIO)
+F = phasefuse.fisher_factor(CHANNEL, SCENARIO)
+SOLUTION = phasefuse.solve(phasefuse.SdpProblem(B, F))
+VALID = {
+    "a": np.ones(4, dtype=complex), "b": B, "factor": F, "objective": B,
+    "y": np.ones(2, dtype=complex), "matrix": CHANNEL.matrix, "phases": CHANNEL.phases,
+    "distances": SCENARIO.distances, "sensor_noise_powers": SCENARIO.sensor_noise_powers,
+    "distance_range": (2.0, 7.0), "sensor_noise_range": (0.001, 0.01),
+    "channel": CHANNEL, "scenario": SCENARIO, "solution": SOLUTION,
+    "problem": phasefuse.SdpProblem(B), "strategy": phasefuse.PhaseStrategy("all_ones"),
+    "rng": phasefuse.RngStream(0), "n_sensors": 4, "n_antennas": 2, "path_loss_exp": 1.0,
+    "fc_noise_power": 0.1, "sweep": "sensors", "sweep_values": (2,), "fixed_count": 2,
+    "trials": 10,
+}
+WRONG = {
+    "a": np.ones((4, 1)), "b": np.ones((4, 3)), "factor": F[:, :3], "objective": B[:, :3],
+    "y": np.ones(3), "matrix": np.ones(4), "phases": np.zeros((3, 3)),
+    "distances": np.ones(3), "sensor_noise_powers": np.full(3, 0.01),
+    "distance_range": (2.0, 5.0, 7.0), "sensor_noise_range": 0.01,
+    "channel": phasefuse.generate_channel(
+        dataclasses.replace(SCENARIO, n_sensors=3, distances=[2.0, 3.0, 4.0],
+                            sensor_noise_powers=[0.01] * 3), phasefuse.RngStream(0)),
+    "solution": dataclasses.replace(SOLUTION, factor=SOLUTION.factor[:3]),
+}
+LABEL = {"channel": "channel.matrix", "solution": "solution.factor"}
+CALLABLES = {name: (getattr(phasefuse, name), params) for name, params in PUBLIC.items()}
+CALLABLES.update((name, (getattr(module, name), params))
+                 for module, table in MODULES.items() for name, params in table.items())
+CALLABLES["eigenvector_rounding"] = (phase_opt.eigenvector_rounding, ("b",))
+NOISELESS = dataclasses.replace(SCENARIO, fc_noise_power=0.0, sensor_noise_powers=[0.0] * 4)
+SHAPE_CASES = [(name, param, {}) for name, (_, params) in CALLABLES.items()
+               if name not in RESULTS for param in params if param in WRONG]
+SHAPE_CASES.append(("verify_unbiasedness", "a", {"scenario": NOISELESS}))
+
+
+def test_every_parameter_is_an_array_argument_or_not():
+    # A new parameter shows up here until it is given a wrong shape in WRONG
+    # or named as not an array (a count, a seed, a name, or an object whose
+    # arrays were checked when it was built).
+    params = {p for name, (_, ps) in CALLABLES.items() if name not in RESULTS for p in ps}
+    assert params - WRONG.keys() == {
+        "*args", "best_solution", "config", "fc_noise_power", "fixed_count", "key", "kind",
+        "master_seed", "message", "mode", "n_antennas", "n_draws", "n_sensors",
+        "path_loss_exp", "problem", "resample_scenario_per_trial", "rng", "scenario",
+        "strategies", "strategy", "stream_index", "sweep", "sweep_values", "theta", "trials",
+        "values"}
+
+
+@pytest.mark.parametrize("name,param,overrides", SHAPE_CASES,
+                         ids=[f"{name}-{param}" + "-noiseless" * bool(o)
+                              for name, param, o in SHAPE_CASES])
+def test_wrong_shape_names_the_argument(name, param, overrides):
+    call, params = CALLABLES[name]
+    kwargs = {p: VALID[p] for p in params if p in VALID} | overrides | {param: WRONG[param]}
+    label = re.escape(LABEL.get(param, param))
+    with pytest.raises(ConfigurationError, match=rf"^{label} has shape \(.*\), expected \("):
+        call(**kwargs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasefuse.channel import ChannelRealization, Scenario
-from phasefuse.errors import DegenerateInstanceError
+from phasefuse.errors import ConfigurationError, DegenerateInstanceError
 from phasefuse.estimator import (
     estimator_variance,
     fisher_factor,
@@ -11,6 +11,8 @@ from phasefuse.estimator import (
     noise_covariance,
     variance_lower_bound,
 )
+from phasefuse.phase_opt import ALL_ONES, PhaseStrategy, optimize_phases
+from phasefuse.rng import RngStream
 
 
 def scenario_of(h, sv, fc, alpha=0.0):
@@ -105,6 +107,21 @@ class TestFisherMatrix:
                                        atol=1e-13 * np.abs(b).max())
             assert variance_lower_bound(b, f) == pytest.approx(variance_lower_bound(b),
                                                                rel=1e-13)
+
+    @pytest.mark.parametrize("call", [
+        variance_lower_bound,
+        lambda b, f: optimize_phases(b, PhaseStrategy(ALL_ONES), RngStream(0), f),
+    ], ids=["variance_lower_bound", "optimize_phases"])
+    @pytest.mark.parametrize("n_other,match", [
+        (5, r"^factor has shape \(2, 5\), expected \(M, 6\)"),
+        (6, r"^factor F must satisfy diag\(F\^H F\) = diag\(B\)"),
+    ], ids=["columns", "other_channel"])
+    def test_factor_of_another_channel_rejected(self, call, n_other, match):
+        # Either factor would give lambda_max of another B, a wrong bound.
+        gen = np.random.default_rng(5)
+        b = fisher_matrix(*random_instance(gen, 6, 2))
+        with pytest.raises(ConfigurationError, match=match):
+            call(b, fisher_factor(*random_instance(gen, n_other, 2)))
 
     @pytest.mark.parametrize("n,m", [(4, 4), (4, 6), (1, 5)])
     def test_no_factor_unless_fewer_antennas_than_sensors(self, n, m):
