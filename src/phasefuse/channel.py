@@ -6,10 +6,12 @@ with phases i.i.d. uniform on [0, 2pi). Sensor measurement noise v is
 circularly-symmetric complex Gaussian with diagonal covariance
 diag(sigma_v^2), FC noise n is CN(0, sigma_n^2 I_M).
 
-Every public array argument is checked by one rule, ``check_shape``: a
-wrong shape raises ConfigurationError naming the argument, its shape and
-the expected shape. A channel must match its scenario: ``channel.matrix``
-is (n_antennas, n_sensors), ``distances`` and ``sensor_noise_powers`` are
+Every public array argument, and every scalar field as shape (), is
+checked by one rule, ``check_array``: it must have the expected shape and
+hold finite integer, real or complex numbers. Otherwise ConfigurationError
+names the argument and what is wrong. The check only reads; nothing is
+converted. A channel must match its scenario: ``channel.matrix`` is
+(n_antennas, n_sensors), ``distances`` and ``sensor_noise_powers`` are
 (n_sensors,) and a phase vector ``a`` is (n_sensors,).
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .blas import single_threaded
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateInstanceError
 from .rng import RngStream
 
 TWO_PI = 2.0 * np.pi
@@ -30,15 +32,6 @@ TWO_PI = 2.0 * np.pi
 # 31.9 ms at 4096, peaking at 0.65, 0.76 and 1.32 MiB (tracemalloc); the
 # N = 4, M = 4 check 10.3, 8.6 and 8.0 ms.
 NOISE_BLOCK_ROWS = 1024
-
-
-def check_finite(obj: object, names: tuple[str, ...]) -> None:
-    """Reject a non-finite value in any of ``obj``'s named fields. NaN slips
-    past every ``<=``/``<`` range check, so this runs before them."""
-    for name in names:
-        value = getattr(obj, name)
-        if not np.isfinite(value).all():
-            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:
@@ -55,25 +48,33 @@ def _dims(shape: tuple) -> str:
     return "(" + ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "") + ")"
 
 
-def check_shape(name: str, array, shape: tuple) -> np.ndarray:
-    """``array`` as an ndarray (a subclass kept) if its shape is ``shape``.
-    An int entry is an exact size; a letter is any size >= 1, the same
-    wherever it repeats, so ``("N", "N")`` is a non-empty square matrix.
-    Otherwise raises ConfigurationError naming ``name``, the shape and the
-    expected shape."""
+def check_array(name: str, array, shape: tuple) -> np.ndarray:
+    """``array`` as an ndarray (a subclass kept) if its shape is ``shape`` and
+    its entries are finite integer, real or complex numbers. An int in
+    ``shape`` is an exact size; a letter is any size >= 1, the same wherever
+    it repeats, so ``("N", "N")`` is a non-empty square matrix and ``()`` a
+    scalar. Otherwise raises ConfigurationError naming ``name`` and, for a
+    wrong shape, the shape and the expected shape."""
     array = np.asanyarray(array)
     sizes: dict[str, int] = {}
-    if array.ndim == len(shape) and all(
+    if not (array.ndim == len(shape) and all(
             # A letter takes the size of its first axis, and every later one
             # must agree with it.
             got >= 1 and sizes.setdefault(want, got) == got if isinstance(want, str)
             else got == want
-            for got, want in zip(array.shape, shape)):
-        return array
-    letters = ", ".join(dict.fromkeys(d for d in shape if isinstance(d, str)))
-    raise ConfigurationError(
-        f"{name} has shape {_dims(array.shape)}, expected {_dims(shape)}"
-        + (f" for some {letters} >= 1" if letters else ""))
+            for got, want in zip(array.shape, shape))):
+        letters = ", ".join(dict.fromkeys(d for d in shape if isinstance(d, str)))
+        raise ConfigurationError(
+            f"{name} has shape {_dims(array.shape)}, expected {_dims(shape)}"
+            + (f" for some {letters} >= 1" if letters else ""))
+    # Booleans, strings and objects fail here. NaN would slip past the <= and
+    # < range checks that callers make after this one.
+    if array.dtype.kind not in "iufc":
+        raise ConfigurationError(
+            f"{name} must hold integer, real or complex numbers, got dtype {array.dtype}")
+    if not np.isfinite(array).all():
+        raise ConfigurationError(f"{name} must be finite")
+    return array
 
 
 def set_counts(obj: object, names: tuple[str, ...], minimum: int = 1) -> None:
@@ -95,10 +96,10 @@ class ScenarioParams:
     sensor_noise_range: tuple[float, float] = (0.001, 0.01)
 
     def __post_init__(self):
+        for name in ("path_loss_exp", "fc_noise_power"):
+            check_array(name, getattr(self, name), ())
         for name in ("distance_range", "sensor_noise_range"):
-            check_shape(name, getattr(self, name), (2,))
-        check_finite(self, ("path_loss_exp", "fc_noise_power", "distance_range",
-                            "sensor_noise_range"))
+            check_array(name, getattr(self, name), (2,))
         if self.fc_noise_power <= 0:
             raise ConfigurationError("fc_noise_power must be positive")
         if self.path_loss_exp < 0:
@@ -144,10 +145,10 @@ class Scenario:
     def __post_init__(self):
         set_counts(self, ("n_sensors", "n_antennas"))
         for name in ("distances", "sensor_noise_powers"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, check_shape(name, value, (self.n_sensors,)))
-        check_finite(self, ("distances", "sensor_noise_powers", "fc_noise_power",
-                             "path_loss_exp", "theta"))
+            value = check_array(name, getattr(self, name), (self.n_sensors,))
+            object.__setattr__(self, name, np.asarray(value, dtype=float))
+        for name in ("fc_noise_power", "path_loss_exp", "theta"):
+            check_array(name, getattr(self, name), ())
         if np.any(self.distances <= 0):
             raise ConfigurationError("distances must be strictly positive")
         # Zero sensor/FC noise is allowed for noiseless synthesis; estimator
@@ -167,15 +168,15 @@ class ChannelRealization:
     phases: np.ndarray  # (M, N) real in [0, 2pi)
 
     def __post_init__(self):
-        matrix = check_shape("matrix", self.matrix, ("M", "N"))
+        matrix = check_array("matrix", self.matrix, ("M", "N"))
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "phases", check_shape("phases", self.phases, matrix.shape))
+        object.__setattr__(self, "phases", check_array("phases", self.phases, matrix.shape))
 
 
 def channel_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
     """``channel.matrix``, checked to be the (n_antennas, n_sensors) channel
     of ``scenario``."""
-    return check_shape("channel.matrix", channel.matrix,
+    return check_array("channel.matrix", channel.matrix,
                        (scenario.n_antennas, scenario.n_sensors))
 
 
@@ -196,11 +197,17 @@ def sample_scenario(config: ScenarioConfig, rng: RngStream) -> Scenario:
 
 
 def generate_channel(scenario: Scenario, rng: RngStream) -> ChannelRealization:
-    """Draw H[m, i] = d_i^{-alpha} e^{j g_{i,m}}, phases uniform on [0, 2pi)."""
+    """Draw H[m, i] = d_i^{-alpha} e^{j g_{i,m}}, phases uniform on [0, 2pi).
+
+    Raises DegenerateInstanceError when a gain d_i^{-alpha} overflows in
+    floating point (a distance near 0 and a large alpha)."""
     gen = rng.generator()
     m, n = scenario.n_antennas, scenario.n_sensors
     phases = gen.uniform(0.0, TWO_PI, size=(m, n))
-    amps = scenario.distances ** (-scenario.path_loss_exp)  # (N,)
+    with np.errstate(over="ignore"):  # reported below instead
+        amps = scenario.distances ** (-scenario.path_loss_exp)  # (N,)
+    if not np.isfinite(amps).all():
+        raise DegenerateInstanceError("channel gains d^-alpha overflow in floating point")
     matrix = np.multiply(1j, phases)
     np.exp(matrix, out=matrix)
     np.multiply(amps[np.newaxis, :], matrix, out=matrix)
@@ -255,7 +262,7 @@ def synthesize_received_signal(
 ) -> np.ndarray:
     """One received vector y = H a theta + H D v + n at the fusion center."""
     h = channel_matrix(channel, scenario)
-    a = check_shape("a", a, (scenario.n_sensors,))
+    a = check_array("a", a, (scenario.n_sensors,))
     gen = rng.generator()
     v = complex_gaussian(gen, scenario.sensor_noise_powers, scenario.n_sensors)
     n = complex_gaussian(gen, scenario.fc_noise_power, scenario.n_antennas)

@@ -39,8 +39,10 @@ from .montecarlo import (
 )
 from .phase_opt import (
     CLOSED_FORM_N2,
+    GRID_ORACLE,
     SDP_RELAXATION,
     PhaseStrategy,
+    check_sensor_count,
     grid_search,
     optimize_phases,
     optimize_phases_n2,
@@ -311,11 +313,13 @@ def _sample_instance(args, k: int) -> tuple[np.ndarray, RngStream]:
 
 
 def _cmd_run(args) -> int:
-    b, stream = _sample_instance(args, 0)
-    print(f"instance: N={args.sensors} M={args.antennas} seed={args.seed}")
     kinds = [s.kind for s in args.strategies]
     if CLOSED_FORM_N2 not in kinds and args.sensors == 2:
         kinds.append(CLOSED_FORM_N2)
+    for kind in kinds:
+        check_sensor_count(kind, args.sensors)
+    b, stream = _sample_instance(args, 0)
+    print(f"instance: N={args.sensors} M={args.antennas} seed={args.seed}")
     for k, kind in enumerate(kinds):
         report = optimize_phases(b, PhaseStrategy(kind), stream.child(10 + k))
         relax = "" if report.relaxation_value is None \
@@ -328,6 +332,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    check_sensor_count(GRID_ORACLE, args.sensors)
     print(f"SDP vs. grid oracle, N={args.sensors}, M={args.antennas}, "
           f"{args.instances} instances")
     print(f"{'instance':>8} {'sdp_var':>14} {'grid_var':>14} {'ratio':>8}")

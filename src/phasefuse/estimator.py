@@ -15,10 +15,12 @@ and the SDP's rank-one certificate take lambda_max(B) from an M x M
 eigensolve when they are given F. ``ml_weights`` alone gives the estimate's
 weights C^{-1} H a and a^H B a, to ``ml_estimate`` and the Monte Carlo check.
 
-Array arguments follow ``channel.check_shape``: B is N x N, a phase vector
-``a`` is (N,), ``y`` is (M,) and the channel matches its scenario; a wrong
-shape raises ConfigurationError naming the argument, its shape and the
-expected shape. A factor F must pass ``check_factor``.
+Array arguments follow ``channel.check_array``: each has its shape and
+holds finite numbers. A phase vector ``a`` is (N,), ``y`` is (M,) and the
+channel matches its scenario. Every B passes ``check_hermitian``: N x N
+and Hermitian, |B - B^H| <= ``HERMITIAN_TOL`` * max(1, max |B_ij|) entrywise.
+A factor F must pass ``check_factor``. Each check raises ConfigurationError
+naming the argument, and returns it as given.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import numpy as np
 
 from . import lapack
 from .blas import single_threaded
-from .channel import ChannelRealization, Scenario, channel_matrix, check_shape
+from .channel import ChannelRealization, Scenario, channel_matrix, check_array
 from .errors import ConfigurationError, DegenerateInstanceError
 
+HERMITIAN_TOL = 1e-12  # |B - B^H| entrywise, relative to max(1, max |B_ij|)
 FACTOR_TOL = 1e-10  # diag(F^H F) against diag(B), relative to max(1, max |B_ii|)
 
 
@@ -111,14 +114,24 @@ def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b @ a)))
 
 
+def check_hermitian(name: str, b) -> np.ndarray:
+    """``b`` as an ndarray if it passes ``check_array(name, b, ("N", "N"))``
+    and is Hermitian within ``HERMITIAN_TOL``, relative to max(1, max
+    |B_ij|). Raises ConfigurationError naming ``name`` otherwise."""
+    b = check_array(name, b, ("N", "N"))
+    scale = max(1.0, float(np.abs(b).max()))
+    if np.abs(b - b.conj().T).max() > HERMITIAN_TOL * scale:
+        raise ConfigurationError(f"{name} must be Hermitian")
+    return b
+
+
 def check_factor(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """``factor`` as an ndarray if it can be the factor F of the N x N ``b``,
-    B = F^H F: M x N, finite, and diag(F^H F) = diag(B) within ``FACTOR_TOL``
-    relative to max(1, max |B_ii|). A necessary condition, at O(NM);
-    ``fisher_factor`` gives such an F. Raises ConfigurationError otherwise."""
-    f = check_shape("factor", factor, ("M", b.shape[0]))
-    if not np.isfinite(f).all():
-        raise ConfigurationError("factor must be finite")
+    B = F^H F: M x N (``check_array``), and diag(F^H F) = diag(B) within
+    ``FACTOR_TOL`` relative to max(1, max |B_ii|). A necessary condition, at
+    O(NM); ``fisher_factor`` gives such an F. Raises ConfigurationError
+    otherwise."""
+    f = check_array("factor", factor, ("M", b.shape[0]))
     diag = np.diagonal(b)
     scale = max(1.0, float(np.abs(diag).max()))
     if np.abs(np.sum(np.abs(f) ** 2, axis=0) - np.real(diag)).max() > FACTOR_TOL * scale:
@@ -127,7 +140,7 @@ def check_factor(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 
 def check_unit_modulus(a: np.ndarray) -> None:
-    a = check_shape("a", a, ("N",))
+    a = check_array("a", a, ("N",))
     if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
         raise ConfigurationError("phase vector entries must have unit modulus")
 
@@ -138,7 +151,7 @@ def ml_weights(
 ) -> tuple[np.ndarray, float]:
     """Weights of theta_hat = g^H y / q at phases a: g = C^{-1} H a, q = a^H B a."""
     h = channel_matrix(channel, scenario)
-    a = check_shape("a", a, (scenario.n_sensors,))
+    a = check_array("a", a, (scenario.n_sensors,))
     ha = h @ a
     g = lapack.cho_solve(lapack.cho_factor(noise_covariance(channel, scenario)), ha)
     q = float(np.real(np.vdot(ha, g)))
@@ -152,7 +165,7 @@ def ml_estimate(
     y: np.ndarray, channel: ChannelRealization, scenario: Scenario, a: np.ndarray
 ) -> complex:
     """ML estimate theta_hat = a^H H^H C^{-1} y / (a^H H^H C^{-1} H a)."""
-    y = check_shape("y", y, (scenario.n_antennas,))
+    y = check_array("y", y, (scenario.n_antennas,))
     g, q = ml_weights(channel, scenario, a)
     return complex(np.vdot(g, y) / q)
 
@@ -160,8 +173,8 @@ def ml_estimate(
 @single_threaded()
 def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
     """Eq.-style variance 1 / (a^H B a) at phase vector a."""
-    b = check_shape("b", b, ("N", "N"))
-    a = check_shape("a", a, (b.shape[0],))
+    b = check_hermitian("b", b)
+    a = check_array("a", a, (b.shape[0],))
     check_unit_modulus(a)
     q = _quadratic_form(a, b)
     if q <= _degeneracy_floor(b):
@@ -174,7 +187,7 @@ def variance_lower_bound(b: np.ndarray, factor: np.ndarray | None = None) -> flo
     """Lower bound 1 / (N lambda_max(B)) on the achievable variance, N the
     order of B. Given B's factor F (``fisher_factor``, checked by
     ``check_factor``), lambda_max(B) is that of the smaller F F^H."""
-    b = check_shape("b", b, ("N", "N"))
+    b = check_hermitian("b", b)
     if factor is None:
         gram = b
     else:

@@ -22,8 +22,8 @@ from .channel import (
     ScenarioConfig,
     ScenarioParams,
     channel_matrix,
+    check_array,
     check_count,
-    check_shape,
     gaussian_projection,
     generate_channel,
     sample_scenario,
@@ -41,6 +41,7 @@ from .phase_opt import (
     ALL_ONES,
     SDP_RELAXATION,
     PhaseStrategy,
+    check_sensor_count,
     eigenvector_rounding,
     optimize_phases,
 )
@@ -80,7 +81,9 @@ def _sweep_values(name: str, values) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ExperimentConfig(ScenarioParams):
     """Full description of one sweep experiment, with the scenario
-    parameters of ``ScenarioParams``."""
+    parameters of ``ScenarioParams``. A strategy that cannot run at some
+    sweep point's sensor count (``phase_opt.check_sensor_count``) fails
+    here, before any point runs."""
 
     sweep: str                       # SENSOR_SWEEP or ANTENNA_SWEEP
     sweep_values: tuple[int, ...]
@@ -104,6 +107,10 @@ class ExperimentConfig(ScenarioParams):
         labels = [s.kind for s in self.strategies]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"strategies must not repeat, got {labels}")
+        sensors = self.sweep_values if self.sweep == SENSOR_SWEEP else (self.fixed_count,)
+        for kind in labels:
+            for n in sensors:
+                check_sensor_count(kind, n)
 
     def scenario_config(self, sweep_value: int) -> ScenarioConfig:
         return _scenario_config(self, self.sweep, sweep_value)
@@ -270,7 +277,7 @@ def verify_unbiasedness(
     vanishing q (an all-zero channel) raises DegenerateInstanceError, with
     noise or without."""
     h = channel_matrix(channel, scenario)
-    a = check_shape("a", np.asarray(a, dtype=complex), (scenario.n_sensors,))
+    a = np.asarray(check_array("a", a, (scenario.n_sensors,)), dtype=complex)
     t = check_count("trials", trials)
     gen = rng.generator()
 

@@ -9,6 +9,11 @@ grid oracle used for verification at small N.
 feedback round. It, ``eigenvector_rounding`` and ``feedback_round`` run with
 OpenBLAS on one thread (see ``blas``) and restore the thread count on
 return, with the same output bits.
+
+Every B passes ``estimator.check_hermitian``. The closed form runs only at
+N = 2 and the grid oracle only at N <= 4 (``SENSOR_LIMITS``);
+``check_sensor_count`` holds that rule for them and for
+``montecarlo.ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import numpy as np
 
 from . import lapack, sdp
 from .blas import single_threaded
-from .channel import ChannelRealization, Scenario, check_shape
+from .channel import ChannelRealization, Scenario
 from .errors import ConfigurationError
 from .estimator import (
+    check_hermitian,
     estimator_variance,
     fisher_factor,
     fisher_matrix,
@@ -36,7 +42,20 @@ ALL_ONES = "all_ones"
 GRID_ORACLE = "grid"
 
 _KINDS = (CLOSED_FORM_N2, SDP_RELAXATION, ALL_ONES, GRID_ORACLE)
-_GRID_MAX_SENSORS = 4
+# The least and the greatest sensor count N of each strategy that has them;
+# the others run at any N >= 1.
+SENSOR_LIMITS = {CLOSED_FORM_N2: (2, 2), GRID_ORACLE: (1, 4)}
+
+
+def check_sensor_count(kind: str, n: int) -> None:
+    """Raise ConfigurationError naming the strategy ``kind`` and ``n`` unless
+    that strategy runs at N = ``n`` sensors (``SENSOR_LIMITS``)."""
+    if kind not in SENSOR_LIMITS:
+        return
+    low, high = SENSOR_LIMITS[kind]
+    if not low <= n <= high:
+        limit = f"N = {low}" if low == high else f"{low} <= N <= {high}"
+        raise ConfigurationError(f"strategy {kind} needs {limit}, got N = {n}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +85,8 @@ def optimize_phases_n2(b: np.ndarray) -> np.ndarray:
     Maximizes a^H B a = B11 + B22 + 2 Re(B12 e^{-j(phi1 - phi2)}), attained
     when phi1 - phi2 = arg(B12); value B11 + B22 + 2|B12|.
     """
-    b = check_shape("b", b, (2, 2))
+    b = check_hermitian("b", b)
+    check_sensor_count(CLOSED_FORM_N2, b.shape[0])
     b12 = b[0, 1]
     if b12 == 0:
         return np.ones(2, dtype=complex)
@@ -77,10 +97,9 @@ def grid_search(b: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive search over quantized relative phases (first phase fixed
     to 0): a 1 degree grid for N <= 3 and a 4 degree grid for N = 4.
     Returns (best vector, best quadratic form). Guarded to N <= 4."""
-    b = check_shape("b", b, ("N", "N"))
+    b = check_hermitian("b", b)
     n = b.shape[0]
-    if n > _GRID_MAX_SENSORS:
-        raise ConfigurationError(f"grid oracle limited to N <= {_GRID_MAX_SENSORS}")
+    check_sensor_count(GRID_ORACLE, n)
     if n == 1:
         return np.ones(1, dtype=complex), float(np.real(b[0, 0]))
 
@@ -145,7 +164,7 @@ def optimize_phases(
 def eigenvector_rounding(b: np.ndarray) -> np.ndarray:
     """Phase-normalized leading eigenvector of B; the convergence-failure
     fallback used by the experiment harness."""
-    _, u = lapack.eigh(check_shape("b", b, ("N", "N")))
+    _, u = lapack.eigh(check_hermitian("b", b))
     return sdp.phase_normalize(u[:, -1])
 
 

@@ -9,6 +9,12 @@ with an exactly feasible start (A = I, y = (lambda_max(B)+1) e) both
 residuals are zero throughout and the duality gap <A, Z> is the only
 quantity driven to zero.
 
+The objective B must pass ``estimator.check_hermitian``: an N x N array of
+finite numbers (``channel.check_array``), Hermitian within
+``estimator.HERMITIAN_TOL = 1e-12`` relative to max(1, max |B_ij|). A
+factor F must pass ``estimator.check_factor``. Either check raises
+ConfigurationError naming the argument.
+
 The diagonal constraint structure makes the Schur complement of the Newton
 system simply the elementwise squared modulus of the scaling matrix W,
 so each iteration costs a handful of dense N x N eigendecompositions.
@@ -68,12 +74,11 @@ import numpy as np
 
 from . import lapack
 from .blas import single_threaded
-from .channel import check_shape
-from .errors import ConfigurationError, ConvergenceError
-from .estimator import check_factor
+from .channel import check_array
+from .errors import ConvergenceError
+from .estimator import check_factor, check_hermitian
 from .rng import RngStream
 
-HERMITIAN_TOL = 1e-12
 # Stop at gap <= GAP_TOL * max(1, |objective|): an absolute tolerance
 # for objectives below 1, relative above; well inside the 1e-7 certificate.
 GAP_TOL = 1e-9
@@ -93,21 +98,17 @@ class SdpProblem:
     factor F of B = F^H F (M x N, checked by ``estimator.check_factor``),
     from which the rank-one certificate takes its spectral data;
     ``estimator.fisher_factor`` gives one when M < N. Without it, ``solve``
-    derives one from ``eigh(B)``."""
+    derives one from ``eigh(B)``. Both are checked as the module docstring
+    says; B is stored as the complex (B + B^H) / 2, F as a complex array."""
 
     objective: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        b = check_shape("objective", np.asarray(self.objective, dtype=complex), ("N", "N"))
-        if not np.isfinite(b).all():
-            raise ConfigurationError("objective must be finite")
-        scale = max(1.0, float(np.abs(b).max()))
-        if np.abs(b - b.conj().T).max() > HERMITIAN_TOL * scale:
-            raise ConfigurationError("objective must be Hermitian")
+        b = np.asarray(check_hermitian("objective", self.objective), dtype=complex)
         object.__setattr__(self, "objective", 0.5 * (b + b.conj().T))
         if self.factor is not None:
-            f = check_factor(b, np.asarray(self.factor, dtype=complex))
+            f = np.asarray(check_factor(b, self.factor), dtype=complex)
             object.__setattr__(self, "factor", f)
 
     @property
@@ -391,7 +392,7 @@ def extract_rank_one(
     """
     b = problem.objective
     n = problem.dimension
-    v = check_shape("solution.factor", solution.factor, (n, "K"))
+    v = check_array("solution.factor", solution.factor, (n, "K"))
 
     thetas = rng.generator().uniform(0.0, 2.0 * np.pi, size=(NUM_CANDIDATES, v.shape[1]))
     r = np.exp(1j * thetas)  # rows are random unit-modulus vectors

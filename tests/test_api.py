@@ -2,6 +2,7 @@
 and every field of each config and report dataclass. A setting added or
 removed anywhere shows up as a diff of this table."""
 
+import copy
 import dataclasses
 import inspect
 import re
@@ -167,4 +168,65 @@ def test_wrong_shape_names_the_argument(name, param, overrides):
     kwargs = {p: VALID[p] for p in params if p in VALID} | overrides | {param: WRONG[param]}
     label = re.escape(LABEL.get(param, param))
     with pytest.raises(ConfigurationError, match=rf"^{label} has shape \(.*\), expected \("):
+        call(**kwargs)
+
+
+def spoiled(param, entry):
+    """``VALID[param]`` with its first entry replaced by ``entry``. A channel or
+    a solution gets it in the array that LABEL names, set past its own check."""
+    if param in LABEL:
+        carrier, field = copy.copy(VALID[param]), LABEL[param].split(".")[1]
+        object.__setattr__(carrier, field, spoiled_array(getattr(carrier, field), entry))
+        return carrier
+    return spoiled_array(VALID[param], entry)
+
+
+def spoiled_array(value, entry):
+    out = np.array(value, dtype=object if isinstance(entry, str) else None)
+    out.flat[0] = entry
+    return out
+
+
+ENTRY_CASES = [(name, param) for name, param, overrides in SHAPE_CASES if not overrides]
+ENTRY_IDS = [f"{name}-{param}" for name, param in ENTRY_CASES]
+
+
+@pytest.mark.parametrize("name,param", ENTRY_CASES, ids=ENTRY_IDS)
+def test_nan_entry_names_the_argument(name, param):
+    call, params = CALLABLES[name]
+    kwargs = {p: VALID[p] for p in params if p in VALID} | {param: spoiled(param, np.nan)}
+    label = re.escape(LABEL.get(param, param))
+    with pytest.raises(ConfigurationError, match=rf"^{label} must be finite$"):
+        call(**kwargs)
+
+
+@pytest.mark.parametrize("name,param", ENTRY_CASES, ids=ENTRY_IDS)
+def test_string_entry_names_the_argument(name, param):
+    call, params = CALLABLES[name]
+    kwargs = {p: VALID[p] for p in params if p in VALID} | {param: spoiled(param, "1.0")}
+    label = re.escape(LABEL.get(param, param))
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{label} must hold integer, real or complex numbers, "
+                             rf"got dtype object$"):
+        call(**kwargs)
+
+
+# B off Hermitian by 1 in one entry, far beyond estimator.HERMITIAN_TOL.
+NON_HERMITIAN = B.copy()
+NON_HERMITIAN[0, 1] += 1.0
+B_CASES = [(name, param) for name, (_, params) in CALLABLES.items()
+           for param in params if param in ("b", "objective")]
+
+
+def test_every_b_taking_callable_is_covered():
+    assert sorted(name for name, _ in B_CASES) == [
+        "SdpProblem", "eigenvector_rounding", "estimator_variance", "grid_search",
+        "optimize_phases", "optimize_phases_n2", "variance_lower_bound"]
+
+
+@pytest.mark.parametrize("name,param", B_CASES, ids=[name for name, _ in B_CASES])
+def test_non_hermitian_b_names_the_argument(name, param):
+    call, params = CALLABLES[name]
+    kwargs = {p: VALID[p] for p in params if p in VALID} | {param: NON_HERMITIAN}
+    with pytest.raises(ConfigurationError, match=rf"^{param} must be Hermitian$"):
         call(**kwargs)

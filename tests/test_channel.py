@@ -8,6 +8,7 @@ from phasefuse.channel import (
     ChannelRealization,
     Scenario,
     ScenarioConfig,
+    check_array,
     check_count,
     complex_gaussian,
     gaussian_projection,
@@ -16,7 +17,7 @@ from phasefuse.channel import (
     synthesize_received_signal,
 )
 from phasefuse.blas import single_threaded
-from phasefuse.errors import ConfigurationError
+from phasefuse.errors import ConfigurationError, DegenerateInstanceError
 from phasefuse.rng import RngStream
 
 
@@ -114,6 +115,86 @@ class TestCheckCount:
             ScenarioConfig(**{**counts, field: 2.5})
         with pytest.raises(ConfigurationError, match=f"{field} must be >= 1 and integral"):
             Scenario(**{**counts, field: 2.5}, **rest)
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("value", [2, 2.5, -1.5j, np.float64(0.1), np.uint8(3),
+                                       np.array(4.0)])
+    def test_scalar_shape_takes_any_number(self, value):
+        assert check_array("x", value, ()).shape == ()
+
+    @pytest.mark.parametrize("value,got", [([1.0], r"\(1,\)"), (np.ones((1, 1)), r"\(1, 1\)")])
+    def test_scalar_shape_rejects_an_array(self, value, got):
+        with pytest.raises(ConfigurationError, match=rf"^x has shape {got}, expected \(\)$"):
+            check_array("x", value, ())
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.float32, np.float64,
+                                       np.complex64, np.complex128])
+    def test_number_kinds_pass_unconverted(self, dtype):
+        array = np.ones((2, 3), dtype=dtype)
+        assert check_array("x", array, ("M", "N")) is array
+
+    def test_a_subclass_is_kept(self):
+        class Tagged(np.ndarray):
+            pass
+
+        array = np.ones(3).view(Tagged)
+        assert check_array("x", array, (3,)) is array
+
+    @pytest.mark.parametrize("value,dtype", [
+        (np.array([True, False]), "bool"),
+        (["1.0", "2.0"], "<U3"),
+        (np.array([1.0, "x"], dtype=object), "object"),
+        (np.array([1.0, 2.0], dtype=object), "object"),
+        (np.array([b"a", b"b"]), "|S1"),
+        (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), r"datetime64\[D\]"),
+        ([None, None], "object"),
+    ], ids=["bool", "str", "mixed-object", "float-object", "bytes", "datetime", "none"])
+    def test_other_kinds_rejected(self, value, dtype):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^x must hold integer, real or complex numbers, got dtype "
+                                 rf"{dtype}$"):
+            check_array("x", value, (2,))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                       complex(np.inf, 0.0)])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_non_finite_rejected(self, entry, shape):
+        value = np.full(shape, entry)
+        with pytest.raises(ConfigurationError, match="^x must be finite$"):
+            check_array("x", value, shape)
+
+    def test_shape_is_checked_before_entries(self):
+        with pytest.raises(ConfigurationError, match=r"^x has shape \(2,\), expected \(3,\)$"):
+            check_array("x", ["a", "b"], (3,))
+
+    @pytest.mark.parametrize("field,value", [
+        ("path_loss_exp", "1.0"),
+        ("fc_noise_power", [0.1]),
+        ("distance_range", ("a", "b")),
+        ("sensor_noise_range", (0.001, None)),
+    ])
+    def test_scenario_params_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("distances", dict(distances=["x", "y"])),
+        ("sensor_noise_powers", dict(sensor_noise_powers=["0.01", "0.01"])),
+        ("theta", dict(theta="1")),
+        ("theta", dict(theta=[1.0])),
+    ])
+    def test_scenario_rejected_naming_the_field(self, field, kwargs):
+        values = dict(n_sensors=2, n_antennas=2, path_loss_exp=1.0, fc_noise_power=0.1,
+                      distances=[2.0, 3.0], sensor_noise_powers=[0.01, 0.01])
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            Scenario(**values | kwargs)
+
+    def test_scenario_keeps_its_values_and_types(self):
+        scn = Scenario(n_sensors=2, n_antennas=2, path_loss_exp=2, fc_noise_power=0.1,
+                       distances=[2, 3], sensor_noise_powers=[0.01, 0.01])
+        assert type(scn.path_loss_exp) is int and scn.theta == 1.0 + 0.0j
+        assert scn.distances.dtype == float and scn.distances.tolist() == [2.0, 3.0]
 
 
 class TestGenerateChannel:
@@ -293,6 +374,15 @@ class TestSynthesize:
         # FC noise only: each quadrature carries half the power
         assert np.var(draws.real) == pytest.approx(0.045, rel=0.05)
         assert np.var(draws.imag) == pytest.approx(0.045, rel=0.05)
+
+
+class TestGainOverflow:
+    def test_overflowing_gain_is_a_degenerate_instance(self):
+        # (1e-200)^-2 = 1e400 is beyond the largest double.
+        scn = make_scenario(n=2, m=2, alpha=2.0, d=[1e-200, 2.0])
+        with pytest.raises(DegenerateInstanceError,
+                           match="^channel gains d\\^-alpha overflow in floating point$"):
+            generate_channel(scn, RngStream(0))
 
 
 class TestScenarioValidation:

@@ -400,7 +400,36 @@ class TestCommands:
 
     def test_oracle_beyond_grid_limit_exits_1(self, capsys):
         assert main(["oracle", "--sensors", "5", "--instances", "1"]) == 1
-        assert "error: grid oracle limited to N <= 4" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: strategy grid needs 1 <= N <= 4, got N = 5\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig1", "--sensors", "4", "6", "--strategies", "grid"],
+         "strategy grid needs 1 <= N <= 4, got N = 6"),
+        (["fig1", "--sensors", "2", "3", "--strategies", "sdp,closed_form_n2"],
+         "strategy closed_form_n2 needs N = 2, got N = 3"),
+        (["fig2", "--sensors", "5", "--strategies", "grid"],
+         "strategy grid needs 1 <= N <= 4, got N = 5"),
+        (["run", "--sensors", "3", "--antennas", "2", "--strategies", "sdp,closed_form_n2"],
+         "strategy closed_form_n2 needs N = 2, got N = 3"),
+    ], ids=["grid", "closed_form_n2", "fig2-grid", "run"])
+    def test_strategy_beyond_its_sensor_count_exits_1_before_any_output(
+            self, argv, message, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_overflowing_gain_exits_1_without_a_warning(self):
+        # (1e-200)^-2 = 1e400 overflows when the channel is drawn, before B.
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasefuse.cli", "fig1", "--sensors", "4", "--trials",
+             "1", "--dist-range", "1e-200,1e-199", "--alpha", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: channel gains d^-alpha overflow in floating point\n"
 
     def test_determinism_same_argv(self, tmp_path):
         a = tmp_path / "a.csv"

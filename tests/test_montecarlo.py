@@ -96,6 +96,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="must not repeat"):
             small_config(strategies=(PhaseStrategy("sdp"), PhaseStrategy("sdp")))
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(sweep_values=(2, 4, 6), strategies=(PhaseStrategy("grid"),)),
+         "strategy grid needs 1 <= N <= 4, got N = 6"),
+        (dict(sweep_values=(2, 3), strategies=(PhaseStrategy("closed_form_n2"),)),
+         "strategy closed_form_n2 needs N = 2, got N = 3"),
+        (dict(sweep=ANTENNA_SWEEP, sweep_values=(1, 2), fixed_count=5,
+              strategies=(PhaseStrategy("sdp"), PhaseStrategy("grid"))),
+         "strategy grid needs 1 <= N <= 4, got N = 5"),
+    ], ids=["grid", "closed_form_n2", "antenna-sweep"])
+    def test_strategy_beyond_its_sensor_count_rejected(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            small_config(**overrides)
+
+    def test_strategy_within_its_sensor_count_accepted(self):
+        assert small_config(sweep_values=(1, 2, 4), strategies=(PhaseStrategy("grid"),))
+        assert small_config(sweep=ANTENNA_SWEEP, sweep_values=(1, 8), fixed_count=2,
+                            strategies=(PhaseStrategy("closed_form_n2"),))
+
     @pytest.mark.parametrize("make", [small_config, ConcentrationConfig],
                              ids=["experiment", "concentration"])
     @pytest.mark.parametrize("field,value,match", [

@@ -11,6 +11,7 @@ from phasefuse.phase_opt import (
     GRID_ORACLE,
     SDP_RELAXATION,
     PhaseStrategy,
+    check_sensor_count,
     feedback_round,
     grid_search,
     optimize_phases,
@@ -61,7 +62,8 @@ class TestClosedFormN2:
                                                rel=1e-12)
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="^strategy closed_form_n2 needs N = 2, got N = 3$"):
             optimize_phases_n2(np.eye(3))
 
 
@@ -71,12 +73,28 @@ class TestGridSearch:
         assert val == pytest.approx(3.0, rel=1e-4)
 
     def test_guard_large_n(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^strategy grid needs 1 <= N <= 4, got N = 5$"):
             grid_search(np.eye(5))
 
     def test_n1(self):
         a, val = grid_search(np.array([[2.0]]))
         assert val == 2.0
+
+
+class TestSensorLimits:
+    @pytest.mark.parametrize("kind,n,message", [
+        (CLOSED_FORM_N2, 3, "strategy closed_form_n2 needs N = 2, got N = 3"),
+        (GRID_ORACLE, 5, "strategy grid needs 1 <= N <= 4, got N = 5"),
+    ])
+    def test_dispatch_beyond_the_limit_names_the_strategy_and_n(self, kind, n, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            optimize_phases(np.eye(n), PhaseStrategy(kind), RngStream(0))
+
+    @pytest.mark.parametrize("kind", [SDP_RELAXATION, ALL_ONES])
+    def test_other_strategies_take_any_n(self, kind):
+        for n in (1, 2, 5, 1000):
+            check_sensor_count(kind, n)
 
 
 class TestOptimizePhases:
