@@ -10,20 +10,27 @@ Every public array argument, and every scalar field as shape (), is
 checked by one rule, ``check_array``: it must have the expected shape and
 hold finite integer, real or complex numbers. Otherwise ConfigurationError
 names the argument and what is wrong. The check only reads; nothing is
-converted. A channel must match its scenario: ``channel.matrix`` is
-(n_antennas, n_sensors), ``distances`` and ``sensor_noise_powers`` are
-(n_sensors,) and a phase vector ``a`` is (n_sensors,).
+converted. A real-valued scenario field (distances, noise powers, path-loss
+exponent and ranges) also passes ``check_real``: no complex dtype, and
+nonnegative, or positive for the distances and the config's FC noise power;
+``theta`` stays complex. A channel must match its scenario:
+``channel.matrix`` is (n_antennas, n_sensors), ``distances`` and
+``sensor_noise_powers`` are (n_sensors,) and a phase vector ``a`` is
+(n_sensors,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .blas import single_threaded
 from .errors import ConfigurationError, DegenerateInstanceError
-from .rng import RngStream
+
+if TYPE_CHECKING:  # rng checks its seeds with set_counts, so it imports this module
+    from .rng import RngStream
 
 TWO_PI = 2.0 * np.pi
 # Rows of noise parts drawn per step (gaussian_projection). Measured on
@@ -77,6 +84,18 @@ def check_array(name: str, array, shape: tuple) -> np.ndarray:
     return array
 
 
+def check_real(name: str, value, shape: tuple, positive: bool = False) -> np.ndarray:
+    """``value`` as ``check_array`` returns it if its entries are also real and
+    nonnegative, or positive with ``positive``. Otherwise raises
+    ConfigurationError naming ``name``."""
+    array = check_array(name, value, shape)
+    if array.dtype.kind == "c":
+        raise ConfigurationError(f"{name} must be real, got dtype {array.dtype}")
+    if np.any(array <= 0 if positive else array < 0):
+        raise ConfigurationError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+    return array
+
+
 def set_counts(obj: object, names: tuple[str, ...], minimum: int = 1) -> None:
     """Store each named field of the frozen ``obj`` as ``check_count`` returns it."""
     for name in names:
@@ -96,18 +115,10 @@ class ScenarioParams:
     sensor_noise_range: tuple[float, float] = (0.001, 0.01)
 
     def __post_init__(self):
-        for name in ("path_loss_exp", "fc_noise_power"):
-            check_array(name, getattr(self, name), ())
+        check_real("path_loss_exp", self.path_loss_exp, ())
+        check_real("fc_noise_power", self.fc_noise_power, (), positive=True)
         for name in ("distance_range", "sensor_noise_range"):
-            check_array(name, getattr(self, name), (2,))
-        if self.fc_noise_power <= 0:
-            raise ConfigurationError("fc_noise_power must be positive")
-        if self.path_loss_exp < 0:
-            raise ConfigurationError("path_loss_exp must be nonnegative")
-        for name, (lo, hi) in (
-            ("distance_range", self.distance_range),
-            ("sensor_noise_range", self.sensor_noise_range),
-        ):
+            lo, hi = check_real(name, getattr(self, name), (2,))
             if lo <= 0 or lo > hi:
                 raise ConfigurationError(
                     f"{name} must be a positive interval with low <= high, got ({lo}, {hi})"
@@ -144,20 +155,14 @@ class Scenario:
 
     def __post_init__(self):
         set_counts(self, ("n_sensors", "n_antennas"))
-        for name in ("distances", "sensor_noise_powers"):
-            value = check_array(name, getattr(self, name), (self.n_sensors,))
+        # Zero sensor/FC noise is allowed for noiseless synthesis; estimation
+        # needs sigma_n^2 > 0, which the estimator checks itself.
+        for name, positive in (("distances", True), ("sensor_noise_powers", False)):
+            value = check_real(name, getattr(self, name), (self.n_sensors,), positive)
             object.__setattr__(self, name, np.asarray(value, dtype=float))
-        for name in ("fc_noise_power", "path_loss_exp", "theta"):
-            check_array(name, getattr(self, name), ())
-        if np.any(self.distances <= 0):
-            raise ConfigurationError("distances must be strictly positive")
-        # Zero sensor/FC noise is allowed for noiseless synthesis; estimator
-        # routines that need invertibility check fc_noise_power themselves.
-        for name, value in (("sensor_noise_powers", self.sensor_noise_powers),
-                            ("fc_noise_power", self.fc_noise_power),
-                            ("path_loss_exp", self.path_loss_exp)):
-            if np.any(value < 0):
-                raise ConfigurationError(f"{name} must be nonnegative")
+        for name in ("fc_noise_power", "path_loss_exp"):
+            check_real(name, getattr(self, name), ())
+        check_array("theta", self.theta, ())
 
 
 @dataclass(frozen=True)

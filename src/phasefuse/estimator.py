@@ -8,6 +8,11 @@ Core quantity is the Hermitian PSD matrix
 whose quadratic form a^H B a sets the estimator variance:
 Var(theta_hat) = 1 / (a^H B a), lower-bounded by 1 / (N lambda_max(B)).
 
+One private function builds C = H V H^H + sigma_n^2 I for every public one,
+from a channel checked once per call. It raises ConfigurationError unless
+sigma_n^2 > 0, and DegenerateInstanceError when C overflows in floating point
+(channel gains near the square root of the largest double).
+
 B has rank at most M. When M < N, ``fisher_factor`` gives its M x N factor
 F = L^{-1} H, B = F^H F, with L the lower Cholesky factor of C. The nonzero
 eigenvalues of B are those of the M x M F F^H, so ``variance_lower_bound``
@@ -42,13 +47,15 @@ def _degeneracy_floor(b: np.ndarray) -> float:
 
 @single_threaded()
 def noise_covariance(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
-    """Covariance of the effective noise at the FC: H V H^H + sigma_n^2 I_M.
+    """Covariance of the effective noise at the FC: H V H^H + sigma_n^2 I_M."""
+    return _covariance(channel_matrix(channel, scenario), scenario)
 
-    Raises DegenerateInstanceError when it overflows in floating point
-    (channel gains near the square root of the largest double)."""
+
+def _covariance(h: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """C = H V H^H + sigma_n^2 I_M of the checked channel matrix ``h``, with
+    the module docstring's two rules for it."""
     if scenario.fc_noise_power <= 0:
         raise ConfigurationError("fc_noise_power must be positive for estimation")
-    h = channel_matrix(channel, scenario)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         hv = h * scenario.sensor_noise_powers[np.newaxis, :]
         c = hv @ h.conj().T
@@ -76,18 +83,14 @@ def fisher_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
     m, n = h.shape
     sv = scenario.sensor_noise_powers
     s = scenario.fc_noise_power
-    if s <= 0:
-        raise ConfigurationError("fc_noise_power must be positive for estimation")
-
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            if m > n and np.all(sv > 0):
+            if m > n and s > 0 and np.all(sv > 0):
                 g = h.conj().T @ h
                 inner = np.diag(1.0 / sv) + g / s
                 b = g / s - (g @ lapack.cho_solve(lapack.cho_factor(inner), g)) / (s * s)
             else:
-                c = noise_covariance(channel, scenario)
-                b = h.conj().T @ lapack.cho_solve(lapack.cho_factor(c), h)
+                b = h.conj().T @ lapack.cho_solve(lapack.cho_factor(_covariance(h, scenario)), h)
             b = 0.5 * (b + b.conj().T)
         if np.isfinite(b).all():
             return b
@@ -104,10 +107,9 @@ def fisher_factor(channel: ChannelRealization, scenario: Scenario) -> np.ndarray
 
     Raises DegenerateInstanceError when C overflows in floating point."""
     h = channel_matrix(channel, scenario)
-    if h.shape[0] >= h.shape[1]:
+    if h.shape[0] >= h.shape[1] and scenario.fc_noise_power > 0:  # else _covariance raises
         return None
-    c = noise_covariance(channel, scenario)
-    return lapack.solve_triangular(lapack.cho_factor(c), h)
+    return lapack.solve_triangular(lapack.cho_factor(_covariance(h, scenario)), h)
 
 
 def _quadratic_form(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,11 +151,13 @@ def check_unit_modulus(a: np.ndarray) -> None:
 def ml_weights(
     channel: ChannelRealization, scenario: Scenario, a: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Weights of theta_hat = g^H y / q at phases a: g = C^{-1} H a, q = a^H B a."""
+    """Weights of theta_hat = g^H y / q at phases a: g = C^{-1} H a, q = a^H B a,
+    or the matched filter g = H a, q = |H a|^2 when there is no noise at all."""
     h = channel_matrix(channel, scenario)
     a = check_array("a", a, (scenario.n_sensors,))
     ha = h @ a
-    g = lapack.cho_solve(lapack.cho_factor(noise_covariance(channel, scenario)), ha)
+    noiseless = scenario.fc_noise_power == 0 and not scenario.sensor_noise_powers.any()
+    g = ha if noiseless else lapack.cho_solve(lapack.cho_factor(_covariance(h, scenario)), ha)
     q = float(np.real(np.vdot(ha, g)))
     if q <= np.finfo(float).tiny:
         raise DegenerateInstanceError("a^H B a vanishes (all-zero channel?)")

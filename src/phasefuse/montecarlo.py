@@ -101,8 +101,14 @@ class ExperimentConfig(ScenarioParams):
                            _sweep_values("sweep_values", self.sweep_values))
         set_counts(self, ("fixed_count", "trials"))
         set_counts(self, ("master_seed",), minimum=0)
+        if not isinstance(self.resample_scenario_per_trial, (bool, np.bool_)):
+            raise ConfigurationError("resample_scenario_per_trial must be a bool, got "
+                                     f"{self.resample_scenario_per_trial!r}")
         if not self.strategies:
             raise ConfigurationError("at least one strategy is required")
+        if not all(isinstance(s, PhaseStrategy) for s in self.strategies):
+            raise ConfigurationError(
+                f"strategies must be PhaseStrategy entries, got {self.strategies!r}")
         # Results are keyed by label, so a repeat would overwrite its twin.
         labels = [s.kind for s in self.strategies]
         if len(set(labels)) != len(labels):
@@ -273,9 +279,9 @@ def verify_unbiasedness(
     noiseless), formed without y: theta g^H H a / q plus the sensor noise
     projected onto a * H^T g* / q and the FC noise onto g* / q, every sensor
     noise draw first, as synthesis draws. One trial is ``ml_estimate`` of the
-    y that ``synthesize_received_signal`` draws from the same stream. A
-    vanishing q (an all-zero channel) raises DegenerateInstanceError, with
-    noise or without."""
+    y that ``synthesize_received_signal`` draws from the same stream, with
+    noise or without. A vanishing q (an all-zero channel) raises
+    DegenerateInstanceError."""
     h = channel_matrix(channel, scenario)
     a = np.asarray(check_array("a", a, (scenario.n_sensors,)), dtype=complex)
     t = check_count("trials", trials)
@@ -283,12 +289,7 @@ def verify_unbiasedness(
 
     sv = scenario.sensor_noise_powers
     ha = h @ a
-    if scenario.fc_noise_power == 0 and np.all(sv == 0):
-        g, q = ha, float(np.real(np.vdot(ha, ha)))  # the matched filter
-        if q <= np.finfo(float).tiny:
-            raise DegenerateInstanceError("a^H H^H H a vanishes (all-zero channel?)")
-    else:
-        g, q = ml_weights(channel, scenario, a)
+    g, q = ml_weights(channel, scenario, a)
     gq = g.conj() / q
     estimates = gaussian_projection(gen, sv, (t, scenario.n_sensors), a * (h.T @ gq))
     estimates += gaussian_projection(

@@ -4,6 +4,8 @@
 Every stochastic operation in the package takes an explicit ``RngStream``.
 Streams are keyed by (master_seed, stream_index, sub-key path) through
 numpy's ``SeedSequence``, so the draw sequence is a pure function of the key.
+``master_seed`` and ``stream_index`` are whole numbers >= 0
+(``channel.check_count``), checked and stored as ints when a stream is built.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .channel import set_counts
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,9 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
     key: tuple = field(default=())
+
+    def __post_init__(self):
+        set_counts(self, ("master_seed", "stream_index"), minimum=0)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

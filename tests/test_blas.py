@@ -214,11 +214,11 @@ def _call_verify_concentration():
 # (scoped function, callee module, callee name, builder of the call). Each
 # callee runs inside the scoped function's BLAS or LAPACK work.
 SCOPED = [
-    ("fisher_matrix", estimator, "noise_covariance", lambda: _call_fisher(6, 3)),
+    ("fisher_matrix", estimator, "_covariance", lambda: _call_fisher(6, 3)),
     ("fisher_matrix_m_gt_n", lapack, "cho_solve", lambda: _call_fisher(3, 6)),
     ("fisher_factor", lapack, "solve_triangular", _call_fisher_factor),
     ("ml_weights", lapack, "cho_solve", _call_ml_weights),
-    ("ml_estimate", estimator, "noise_covariance", _call_ml_estimate),
+    ("ml_estimate", estimator, "_covariance", _call_ml_estimate),
     ("estimator_variance", estimator, "_quadratic_form", _call_estimator_variance),
     ("variance_lower_bound", lapack, "eigvalsh", _call_variance_lower_bound),
     ("synthesize_received_signal", channel, "complex_gaussian", _call_synthesize),
@@ -227,7 +227,7 @@ SCOPED = [
     ("extract_rank_one", phasefuse.sdp, "phase_normalize", _call_extract_rank_one),
     ("solve_bare_objective", lapack, "eigh", _call_solve_bare_objective),
     ("run_sweep", montecarlo, "fisher_matrix", _call_run_sweep),
-    ("verify_unbiasedness", estimator, "noise_covariance", _call_verify_unbiasedness),
+    ("verify_unbiasedness", estimator, "_covariance", _call_verify_unbiasedness),
     ("verify_diagonal_concentration", montecarlo, "generate_channel",
      _call_verify_concentration),
 ]

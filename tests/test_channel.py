@@ -416,6 +416,33 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=f"^{field} must be nonnegative"):
             make_scenario(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("distances", [2 + 1j, 3.0]),
+        ("sensor_noise_powers", [0.01, 0.01j]),
+        ("fc_noise_power", 0.1 + 0j),
+        ("path_loss_exp", 1 + 1j),
+    ])
+    def test_complex_entry_rejected_naming_the_field(self, field, value):
+        # Storing a complex entry as float would drop its imaginary part.
+        fields = dict(n_sensors=2, n_antennas=2, path_loss_exp=1.0, fc_noise_power=0.1,
+                      distances=[2.0, 3.0], sensor_noise_powers=[0.01, 0.01])
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be real, got dtype complex"):
+            Scenario(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("path_loss_exp", 1 + 1j),
+        ("fc_noise_power", 0.1j),
+        ("distance_range", (2.0, 7.0 + 0j)),
+        ("sensor_noise_range", (0.001j, 0.01)),
+    ])
+    def test_complex_config_parameter_rejected_naming_the_field(self, field, value):
+        # Complex numbers have no order for the range checks to test.
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be real, got dtype complex"):
+            ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
+
+    def test_complex_theta_kept(self):
+        assert make_scenario(theta=0.8 - 0.6j).theta == 0.8 - 0.6j
+
     @pytest.mark.parametrize("n,m", [(0, 2), (2, 0)])
     def test_zero_count_rejected(self, n, m):
         with pytest.raises(ConfigurationError, match="must be >= 1"):
@@ -440,3 +467,18 @@ class TestRngStream:
         s = RngStream(99, 2).child(3)
         assert np.array_equal(s.generator().uniform(size=16),
                               s.generator().uniform(size=16))
+
+    @pytest.mark.parametrize("args,field", [
+        ((-1,), "master_seed"), ((1.5,), "master_seed"), ((0, -1), "stream_index"),
+        ((0, 1.5), "stream_index"),
+    ])
+    def test_bad_key_rejected_when_built(self, args, field):
+        # SeedSequence takes only nonnegative integers, at .generator().
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0 and integral"):
+            RngStream(*args)
+
+    def test_whole_number_key_draws_as_its_int(self):
+        s = RngStream(np.float64(99.0), np.int64(2))
+        assert type(s.master_seed) is int and type(s.stream_index) is int
+        assert np.array_equal(s.generator().uniform(size=4),
+                              RngStream(99, 2).generator().uniform(size=4))

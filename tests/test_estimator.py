@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasefuse import estimator
 from phasefuse.channel import ChannelRealization, Scenario
 from phasefuse.errors import ConfigurationError, DegenerateInstanceError
 from phasefuse.estimator import (
@@ -8,6 +9,7 @@ from phasefuse.estimator import (
     fisher_factor,
     fisher_matrix,
     ml_estimate,
+    ml_weights,
     noise_covariance,
     variance_lower_bound,
 )
@@ -155,6 +157,58 @@ class TestFisherMatrix:
             t * estimator_variance(a, b), rel=1e-12)
         assert variance_lower_bound(bt) == pytest.approx(
             t * variance_lower_bound(b), rel=1e-12)
+
+
+# Each public call that builds or factors C, at M < N and M > N: the
+# lemma path of fisher_matrix, the M >= N None of fisher_factor.
+NOISE_MODEL_CALLS = {
+    "noise_covariance": noise_covariance,
+    "fisher_matrix": fisher_matrix,
+    "fisher_factor": fisher_factor,
+    "ml_weights": lambda ch, scn: ml_weights(ch, scn, np.ones(scn.n_sensors)),
+}
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("n,m", [(4, 2), (2, 4)])
+    @pytest.mark.parametrize("call", NOISE_MODEL_CALLS.values(), ids=NOISE_MODEL_CALLS.keys())
+    def test_channel_checked_once_per_call(self, monkeypatch, call, n, m):
+        seen = []
+
+        def counting(channel, scenario):
+            seen.append(channel)
+            return channel.matrix
+
+        ch, scn = random_instance(np.random.default_rng(0), n, m)
+        monkeypatch.setattr(estimator, "channel_matrix", counting)
+        call(ch, scn)
+        assert seen == [ch]
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (2, 2), (2, 4)])
+    @pytest.mark.parametrize("call", NOISE_MODEL_CALLS.values(), ids=NOISE_MODEL_CALLS.keys())
+    def test_zero_fc_noise_rejected_at_every_m(self, call, n, m):
+        # With sensor noise but none at the FC, C may be singular.
+        ch, scn = random_instance(np.random.default_rng(1), n, m, fc=0.0)
+        with pytest.raises(ConfigurationError,
+                           match="^fc_noise_power must be positive for estimation$"):
+            call(ch, scn)
+
+    @pytest.mark.parametrize("n,m", [(4, 2), (3, 3), (2, 5)])
+    def test_noiseless_weights_are_the_matched_filter(self, n, m):
+        gen = np.random.default_rng(n + m)
+        ch, scn = random_instance(gen, n, m, sv_range=(0.0, 0.0), fc=0.0)
+        a = np.exp(1j * gen.uniform(0, 2 * np.pi, n))
+        g, q = ml_weights(ch, scn, a)
+        ha = ch.matrix @ a
+        assert np.array_equal(g, ha)
+        assert q == float(np.real(np.vdot(ha, ha)))
+        theta = 0.8 - 0.6j
+        assert ml_estimate(ha * theta, ch, scn, a) == pytest.approx(theta, abs=1e-15)
+
+    def test_noiseless_zero_channel_degenerate(self):
+        h = np.zeros((2, 3))
+        with pytest.raises(DegenerateInstanceError, match="vanishes"):
+            ml_weights(channel_of(h), scenario_of(h, np.zeros(3), 0.0), np.ones(3))
 
 
 class TestMlEstimate:

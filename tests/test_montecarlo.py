@@ -141,6 +141,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=match):
             ConcentrationConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("resample_scenario_per_trial", "no", "^resample_scenario_per_trial must be a bool"),
+        ("resample_scenario_per_trial", 0, "^resample_scenario_per_trial must be a bool"),
+        ("strategies", ("sdp",), "^strategies must be PhaseStrategy entries"),
+    ], ids=["flag_str", "flag_int", "strategy_str"])
+    def test_wrong_kind_rejected_when_built(self, field, value, match):
+        # A truthy "no" would resample; a bare name has no .kind to run.
+        with pytest.raises(ConfigurationError, match=match):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("flag", [False, np.bool_(False)])
+    def test_numpy_bool_flag_accepted(self, flag):
+        assert not small_config(resample_scenario_per_trial=flag).resample_scenario_per_trial
+
     @pytest.mark.parametrize("make", [small_config, ConcentrationConfig],
                              ids=["experiment", "concentration"])
     @pytest.mark.parametrize("seed", [-1, np.nan])
@@ -380,13 +394,17 @@ class TestVerifyUnbiasedness:
         r2 = verify_unbiasedness(scn2, ch, np.ones(4), 100, RngStream(8, 0))
         assert r1.predicted_variance == r2.predicted_variance
 
-    @pytest.mark.parametrize("n,m", [(4, 4), (30, 16), (10, 1), (6, 20)])
-    def test_one_trial_is_the_ml_estimate_of_the_synthesized_signal(self, n, m):
+    @pytest.mark.parametrize("n,m,noiseless", [
+        (4, 4, False), (30, 16, False), (10, 1, False), (6, 20, False), (5, 3, True),
+    ], ids=["4-4", "30-16", "10-1", "6-20", "5-3-noiseless"])
+    def test_one_trial_is_the_ml_estimate_of_the_synthesized_signal(self, n, m, noiseless):
         # One trial draws what synthesizing one y draws from the same stream,
-        # and weighs it with ml_estimate's own g and q: measured at most
-        # 2.6e-16 relative apart.
+        # and weighs it with ml_estimate's own g and q, the matched filter
+        # without noise: measured at most 2.6e-16 relative apart.
         scn, ch = self._instance(n=n, m=m, seed=n + m)
         scn = dataclasses.replace(scn, theta=0.8 - 0.6j)
+        if noiseless:
+            scn = dataclasses.replace(scn, fc_noise_power=0.0, sensor_noise_powers=np.zeros(n))
         a = np.exp(1j * np.linspace(0.0, 3.0, n))
         rep = verify_unbiasedness(scn, ch, a, 1, RngStream(11, m))
         y = synthesize_received_signal(scn, ch, a, RngStream(11, m))

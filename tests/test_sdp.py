@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,13 @@ class TestSolve:
         sol = solve(SdpProblem(objective=b))
         n_lam = n * float(np.max(np.linalg.eigvalsh(b)))
         assert sol.objective_value <= n_lam + 1e-8 * max(1.0, n_lam)
+
+
+# objective_value and duality_gap of solve on fisher_instance(n, m, seed),
+# given fisher_factor's F when M < N, as the interior-point method and the
+# rank-one certificate returned them. ``python tests/test_sdp.py`` rewrites it.
+SOLVE_REFERENCE = Path(__file__).parent / "data" / "solve_reference.json"
+SOLVE_REFERENCE_KEYS = [(n, m, 0) for n in (10, 30, 60, 100) for m in (1, 4, 16)]
 
 
 def fisher_instance(n, m, seed):
@@ -429,6 +438,29 @@ class TestSolverContract:
         assert q <= hi
         assert lo <= sol.objective_value + sol.duality_gap
         assert q >= 0.995 * lo
+
+    @pytest.mark.parametrize("n,m,seed", SOLVE_REFERENCE_KEYS)
+    def test_agrees_with_stored_values(self, n, m, seed):
+        # Each value is certified within its own gap of the optimum, so a
+        # solver that reaches it agrees with the table within the two gaps.
+        stored = json.loads(SOLVE_REFERENCE.read_text())[f"{n}-{m}-{seed}"]
+        sol = solve_fisher(n, m, seed)
+        assert abs(sol.objective_value - stored["objective_value"]) \
+            <= sol.duality_gap + stored["duality_gap"]
+
+
+def solve_fisher(n, m, seed):
+    b, channel, scenario = fisher_instance(n, m, seed)
+    return solve(SdpProblem(b, fisher_factor(channel, scenario)))
+
+
+def write_solve_reference():
+    table = {}
+    for n, m, seed in SOLVE_REFERENCE_KEYS:
+        sol = solve_fisher(n, m, seed)
+        table[f"{n}-{m}-{seed}"] = dict(objective_value=sol.objective_value,
+                                        duality_gap=sol.duality_gap)
+    SOLVE_REFERENCE.write_text(json.dumps(table, indent=1) + "\n")
 
 
 def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
@@ -753,3 +785,7 @@ class TestPhaseNormalize:
         out = phase_normalize(np.array([0.0 + 0.0j, 3.0 + 4.0j]))
         assert out[0] == 1.0
         assert out[1] == pytest.approx(0.6 + 0.8j)
+
+
+if __name__ == "__main__":
+    write_solve_reference()
