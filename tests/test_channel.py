@@ -440,9 +440,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=rf"^{field} must be real, got dtype complex"):
             ScenarioConfig(n_sensors=2, n_antennas=2, **{field: value})
 
-    def test_complex_theta_kept(self):
-        assert make_scenario(theta=0.8 - 0.6j).theta == 0.8 - 0.6j
-
     @pytest.mark.parametrize("n,m", [(0, 2), (2, 0)])
     def test_zero_count_rejected(self, n, m):
         with pytest.raises(ConfigurationError, match="must be >= 1"):
