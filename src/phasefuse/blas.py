@@ -18,6 +18,13 @@ lock-guarded depth count lets decorated functions call each other and lets
 callers' threads nest the scope. Where no bundled OpenBLAS is found it does
 nothing. phasefuse's LAPACK calls (``phasefuse.lapack``) run on scipy's
 OpenBLAS; its matrix products run on numpy's.
+
+Nor do Python threads pay for the small solves. scipy's wrapper of
+``?heevr`` (``eigh``) holds the GIL while LAPACK runs: two threads making
+20 ``eigh`` calls each at N = 100 took 0.104 s, against 0.100 s for the 40
+calls on one thread, and a pool of trial threads was removed for that.
+``montecarlo.run_sweep`` runs trials in parallel in forked worker
+processes instead; each worker inherits this scope, set to one thread.
 """
 
 from __future__ import annotations

@@ -142,7 +142,11 @@ def check_factor(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 
 def check_unit_modulus(a: np.ndarray) -> None:
-    a = check_array("a", a, ("N",))
+    _check_unit_modulus(check_array("a", a, ("N",)))
+
+
+def _check_unit_modulus(a: np.ndarray) -> None:
+    """``check_unit_modulus`` of an ``a`` that ``check_array`` has passed."""
     if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
         raise ConfigurationError("phase vector entries must have unit modulus")
 
@@ -179,7 +183,7 @@ def estimator_variance(a: np.ndarray, b: np.ndarray) -> float:
     """Eq.-style variance 1 / (a^H B a) at phase vector a."""
     b = check_hermitian("b", b)
     a = check_array("a", a, (b.shape[0],))
-    check_unit_modulus(a)
+    _check_unit_modulus(a)
     q = _quadratic_form(a, b)
     if q <= _degeneracy_floor(b):
         raise DegenerateInstanceError("quadratic form a^H B a is degenerate")

@@ -6,10 +6,28 @@ Sweeps the sensor count N (antenna count fixed) or the antenna count M
 aggregates mean variance and standard error per phase strategy. Trial t of
 point p uses the random stream (master_seed, p * trials + t), so results
 are a pure function of the config.
+
+A sweep splits each point's trials into contiguous shares, one per usable
+CPU (``os.sched_getaffinity``, which ``taskset`` narrows). The calling
+process runs the first share, and worker processes forked from it run the
+others and send back their outcomes over a pipe. The outcomes are put back
+in trial order before they are aggregated, so the results, and the CSV and
+JSON bytes, do not depend on the CPU count; ``taskset -c 0`` runs every
+trial in the calling process. The workers are forked at the first sweep that
+has two trials and two CPUs, and serve every later sweep until the process
+exits. They are forked again whenever an attribute of a phasefuse module or
+class has been rebound since they were forked (a monkeypatch, a tracer's
+wrapper, a changed constant), so a worker always runs the caller's code. A
+trial error raised in a worker reaches the caller with its type and message;
+a worker that dies makes the sweep raise ``ChildProcessError``. Where
+``fork`` or the affinity call is missing, sweeps run in the calling process.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +122,13 @@ class ExperimentConfig(ScenarioParams):
         if not isinstance(self.resample_scenario_per_trial, (bool, np.bool_)):
             raise ConfigurationError("resample_scenario_per_trial must be a bool, got "
                                      f"{self.resample_scenario_per_trial!r}")
-        if not self.strategies:
+        # A tuple or list; one PhaseStrategy alone is not iterable.
+        sequence = isinstance(self.strategies, (tuple, list))
+        if sequence and not self.strategies:
             raise ConfigurationError("at least one strategy is required")
-        if not all(isinstance(s, PhaseStrategy) for s in self.strategies):
-            raise ConfigurationError(
-                f"strategies must be PhaseStrategy entries, got {self.strategies!r}")
+        if not (sequence and all(isinstance(s, PhaseStrategy) for s in self.strategies)):
+            raise ConfigurationError("strategies must be PhaseStrategy entries in a tuple "
+                                     f"or list, got {self.strategies!r}")
         # Results are keyed by label, so a repeat would overwrite its twin.
         labels = [s.kind for s in self.strategies]
         if len(set(labels)) != len(labels):
@@ -203,6 +223,172 @@ def _run_trial(
     )
 
 
+def _run_trials(
+    config: ExperimentConfig,
+    scn_config: ScenarioConfig,
+    fixed_scenario: Scenario | None,
+    point: int,
+    trials: range,
+) -> list[_TrialOutcome]:
+    """The outcomes of trials ``trials`` of sweep point ``point``, in order."""
+    return [
+        _run_trial(config, scn_config,
+                   RngStream(config.master_seed, point * config.trials + t), fixed_scenario)
+        for t in trials
+    ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(trials: int, processes: int) -> list[range]:
+    """``range(trials)`` cut into ``min(trials, processes)`` contiguous shares
+    whose sizes differ by at most one."""
+    n = min(trials, processes)
+    cuts = [k * trials // n for k in range(n + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _bindings() -> list[tuple[str, object]]:
+    """(name, value) of every attribute of each loaded phasefuse module and
+    of each class that such a module defines, in a fixed order."""
+    package = __name__.partition(".")[0]
+    found: list[tuple[str, object]] = []
+    for name, module in list(sys.modules.items()):
+        if module is None or name.partition(".")[0] != package:
+            continue
+        for attr, value in vars(module).items():
+            found.append((attr, value))
+            if isinstance(value, type) and value.__module__ == name:
+                # Pickling caches __slotnames__ on a class; that is not code.
+                found.extend(item for item in vars(value).items()
+                             if item[0] != "__slotnames__")
+    return found
+
+
+def _serve(conn, inherited: list) -> None:
+    """A worker's loop: run each share it receives and send back its outcomes,
+    or the exception of its first failing trial. Returns when the caller
+    closes the pipe or is gone."""
+    for other in inherited:  # the caller's ends, so that only it holds them
+        other.close()
+    # Ctrl-C reaches the whole process group; the caller stops its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _run_trials(*job))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the caller is gone
+            return
+        except Exception:  # an exception that does not pickle; nothing was sent
+            conn.send((False, RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
+
+
+class _Workers:
+    """The worker processes of this process, each with its own pipe."""
+
+    def __init__(self):
+        self.pid = 0                  # the process that forked them
+        self.procs: list = []         # (multiprocessing Process, Connection)
+        self.bindings: list = []      # _bindings() when they were forked
+
+    def connections(self, count: int) -> list:
+        """Pipes to ``count`` workers that run this process's code, forking
+        any that are missing."""
+        bindings = _bindings()
+        if self.pid != os.getpid():
+            self.procs = []  # a forked copy of the caller: they are not its children
+        elif len(bindings) != len(self.bindings) or not all(
+                k == j and v is w for (k, v), (j, w) in zip(bindings, self.bindings)):
+            self.stop()
+        if len(self.procs) < count:
+            self._fork(count)
+        self.bindings = bindings
+        return [conn for _, conn in self.procs[:count]]
+
+    def _fork(self, count: int) -> None:
+        # Imported here, so that importing this module does not. numpy loads
+        # numpy.random on first use, which takes about 24 ms: load it before
+        # the fork, so that no worker loads it again.
+        import multiprocessing
+        import numpy.random  # noqa: F401
+
+        # fork, not spawn: a worker must run the caller's code as it is bound
+        # now, monkeypatches included, without importing anything again.
+        context = multiprocessing.get_context("fork")
+        while len(self.procs) < count:
+            ours, theirs = context.Pipe()
+            # A daemon: multiprocessing's exit hook ends and reaps it when this
+            # process exits.
+            proc = context.Process(
+                target=_serve, args=(theirs, [c for _, c in self.procs] + [ours]),
+                daemon=True)
+            proc.start()
+            theirs.close()
+            self.procs.append((proc, ours))
+        self.pid = os.getpid()
+
+    def stop(self, terminate: bool = False) -> None:
+        """Close every pipe and wait for each worker to exit; with
+        ``terminate``, signal each first, as one may be busy."""
+        procs, self.procs = self.procs, []
+        for proc, conn in procs:
+            conn.close()
+            if terminate:
+                proc.terminate()
+        for proc, _ in procs:
+            proc.join()
+
+
+_WORKERS = _Workers()
+
+
+def _run_point(
+    config: ExperimentConfig,
+    scn_config: ScenarioConfig,
+    fixed_scenario: Scenario | None,
+    point: int,
+) -> list[_TrialOutcome]:
+    """Every trial outcome of sweep point ``point``, in trial order: the first
+    share in this process and one share per other usable CPU in a worker."""
+    job = (config, scn_config, fixed_scenario, point)
+    shares = _shares(config.trials, _usable_cpus())
+    if len(shares) == 1:
+        return _run_trials(*job, shares[0])
+    conns = _WORKERS.connections(len(shares) - 1)
+    try:
+        for conn, share in zip(conns, shares[1:]):
+            conn.send((*job, share))
+        try:
+            replies = [(True, _run_trials(*job, shares[0]))]
+        except Exception as exc:  # raised below, after every worker has replied
+            replies = [(False, exc)]
+        replies += [conn.recv() for conn in conns]
+    except (EOFError, OSError) as exc:
+        _WORKERS.stop(terminate=True)
+        raise ChildProcessError("a sweep worker process exited unexpectedly") from exc
+    except BaseException:  # an interrupt: leave no reply to be read later
+        _WORKERS.stop(terminate=True)
+        raise
+    outcomes: list[_TrialOutcome] = []
+    for ok, value in replies:  # the earliest share's error is the serial one
+        if not ok:
+            raise value
+        outcomes += value
+    return outcomes
+
+
 @single_threaded()
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the full sweep. Deterministic given the config."""
@@ -210,15 +396,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     for p, value in enumerate(config.sweep_values):
         scn_config = config.scenario_config(value)
-        streams = [
-            RngStream(config.master_seed, p * config.trials + t)
-            for t in range(config.trials)
-        ]
         fixed_scenario = None
         if not config.resample_scenario_per_trial:
-            fixed_scenario = sample_scenario(scn_config, streams[0].child(0))
+            fixed_scenario = sample_scenario(
+                scn_config, RngStream(config.master_seed, p * config.trials).child(0))
 
-        outcomes = [_run_trial(config, scn_config, s, fixed_scenario) for s in streams]
+        outcomes = _run_point(config, scn_config, fixed_scenario, p)
 
         stats: dict[str, StrategyStats] = {}
         degraded = False

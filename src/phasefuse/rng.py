@@ -4,8 +4,9 @@
 Every stochastic operation in the package takes an explicit ``RngStream``.
 Streams are keyed by (master_seed, stream_index, sub-key path) through
 numpy's ``SeedSequence``, so the draw sequence is a pure function of the key.
-``master_seed`` and ``stream_index`` are whole numbers >= 0
-(``channel.check_count``), checked and stored as ints when a stream is built.
+``master_seed``, ``stream_index`` and every ``key`` entry are whole numbers
+>= 0 (``channel.check_count``), checked and stored as ints when a stream is
+built, so a bad ``child(k)`` fails where it is made, not at ``generator()``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import set_counts
+from .channel import check_count, set_counts
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,10 @@ class RngStream:
 
     def __post_init__(self):
         set_counts(self, ("master_seed", "stream_index"), minimum=0)
+        if not isinstance(self.key, tuple):
+            raise ConfigurationError(f"key must be a tuple, got {self.key!r}")
+        object.__setattr__(self, "key", tuple(check_count("key", k, minimum=0)
+                                              for k in self.key))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -236,6 +236,8 @@ SCOPED = [
 @pytest.mark.parametrize("target,name,make_call", [case[1:] for case in SCOPED],
                          ids=[case[0] for case in SCOPED])
 def test_linear_algebra_runs_single_threaded(monkeypatch, target, name, make_call):
+    # seen records calls in this process only, so a sweep's trials stay here.
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     call = make_call()
     seen = record(monkeypatch, target, name)
     call()

@@ -467,12 +467,16 @@ class TestRngStream:
 
     @pytest.mark.parametrize("args,field", [
         ((-1,), "master_seed"), ((1.5,), "master_seed"), ((0, -1), "stream_index"),
-        ((0, 1.5), "stream_index"),
+        ((0, 1.5), "stream_index"), ((0, 0, (-1,)), "key"), ((0, 0, (2, 1.5)), "key"),
     ])
     def test_bad_key_rejected_when_built(self, args, field):
         # SeedSequence takes only nonnegative integers, at .generator().
         with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0 and integral"):
             RngStream(*args)
+
+    def test_bad_child_key_rejected_when_made(self):
+        with pytest.raises(ConfigurationError, match="^key must be >= 0 and integral, got -1$"):
+            RngStream(1).child(-1)
 
     def test_whole_number_key_draws_as_its_int(self):
         s = RngStream(np.float64(99.0), np.int64(2))

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,7 +149,8 @@ class TestConfigValidation:
         ("resample_scenario_per_trial", "no", "^resample_scenario_per_trial must be a bool"),
         ("resample_scenario_per_trial", 0, "^resample_scenario_per_trial must be a bool"),
         ("strategies", ("sdp",), "^strategies must be PhaseStrategy entries"),
-    ], ids=["flag_str", "flag_int", "strategy_str"])
+        ("strategies", PhaseStrategy("sdp"), "^strategies must be PhaseStrategy entries"),
+    ], ids=["flag_str", "flag_int", "strategy_str", "strategy_alone"])
     def test_wrong_kind_rejected_when_built(self, field, value, match):
         # A truthy "no" would resample; a bare name has no .kind to run.
         with pytest.raises(ConfigurationError, match=match):
@@ -280,6 +285,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(sdp_module, "SdpProblem", Recording)
         monkeypatch.setattr(lapack, "eigvalsh", nan_lambda_max)
+        # hits records calls in this process only.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         result = run_sweep(small_config(sweep_values=(30,), fixed_count=4, trials=4))
         sdp = result.points[0].strategy_stats["sdp"]
         assert len(hits) >= 1
@@ -305,6 +312,105 @@ class TestRunSweep:
             master_seed=1))
         assert r_m.points[0].eq17 is not None
         assert r_m.points[0].eq11 is None
+
+
+def use_cpus(monkeypatch, count):
+    """Make sweeps split their trials over ``count`` processes."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: count)
+
+
+def processes_with(marker: str) -> list[int]:
+    """The pids of the processes whose command line holds ``marker``."""
+    found = []
+    for entry in os.scandir("/proc"):
+        try:
+            with open(f"/proc/{entry.name}/cmdline", "rb") as fh:
+                if entry.name.isdigit() and marker.encode() in fh.read():
+                    found.append(int(entry.name))
+        except OSError:  # not a process, or one that has just exited
+            pass
+    return found
+
+
+class TestWorkers:
+    """Sweeps with trials in forked workers: the same results as in one
+    process, with the caller's code and constants."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sweep_values=(2, 6, 10), fixed_count=4),
+        dict(sweep=ANTENNA_SWEEP, sweep_values=(1, 4, 16), fixed_count=4),
+        dict(resample_scenario_per_trial=False),
+    ], ids=["fig1", "fig2", "fixed_scenario"])
+    def test_workers_return_the_one_process_rows(self, monkeypatch, overrides):
+        cfg = small_config(trials=7, **overrides)  # shares of 2, 2 and 3 trials
+        use_cpus(monkeypatch, 3)
+        split = repr(run_sweep(cfg).points)
+        assert len(montecarlo._WORKERS.procs) == 2
+        use_cpus(monkeypatch, 1)
+        assert split == repr(run_sweep(cfg).points)
+
+    def test_patched_fallback_reaches_the_workers(self, monkeypatch):
+        def no_convergence(problem, *args, **kwargs):
+            raise ConvergenceError("forced")
+
+        cfg = small_config(trials=6)
+        use_cpus(monkeypatch, 3)
+        run_sweep(cfg)  # workers forked before the patch
+        monkeypatch.setattr(sdp_module, "solve", no_convergence)
+        for p in run_sweep(cfg).points:
+            assert p.strategy_stats["sdp"].failures == cfg.trials
+
+    def test_patched_constant_reaches_the_workers(self, monkeypatch):
+        # One rounding candidate changes the sdp phases of trials 2 and 3 only,
+        # which are the worker's share.
+        cfg = small_config(sweep_values=(10,), trials=4, master_seed=2)
+        use_cpus(monkeypatch, 2)
+        default = repr(run_sweep(cfg).points)
+        monkeypatch.setattr(sdp_module, "NUM_CANDIDATES", 1)
+        split = repr(run_sweep(cfg).points)
+        use_cpus(monkeypatch, 1)
+        assert split == repr(run_sweep(cfg).points) != default
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        run_trial = montecarlo._run_trial
+
+        def degenerate_trial_1(config, scn_config, stream, fixed_scenario):
+            if config.master_seed == 99 and stream.stream_index == 1:
+                raise DegenerateInstanceError(f"raised in process {os.getpid()}")
+            return run_trial(config, scn_config, stream, fixed_scenario)
+
+        # Trial 0 runs here, trial 1 in the first worker, trials 2 and 3 in
+        # the second.
+        cfg = small_config(sweep_values=(4,), trials=4)
+        use_cpus(monkeypatch, 3)
+        expected = repr(run_sweep(cfg).points)
+        monkeypatch.setattr(montecarlo, "_run_trial", degenerate_trial_1)
+        with pytest.raises(DegenerateInstanceError, match=r"^raised in process \d+$") as info:
+            run_sweep(dataclasses.replace(cfg, master_seed=99))
+        assert str(info.value) != f"raised in process {os.getpid()}"
+        workers = [proc.pid for proc, _ in montecarlo._WORKERS.procs]
+        # The same workers serve the next sweep, with no reply left over.
+        assert repr(run_sweep(cfg).points) == expected
+        assert [proc.pid for proc, _ in montecarlo._WORKERS.procs] == workers
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_cli_leaves_no_process_behind(self, tmp_path):
+        if montecarlo._usable_cpus() < 2:
+            pytest.skip("one usable CPU: the sweep forks no worker")
+        out = str(tmp_path / "fig1.csv")  # in the command line of the CLI and its workers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "phasefuse.cli", "fig1", "--sensors", "10", "20",
+             "--trials", "20", "--output", out], stderr=subprocess.PIPE)
+        seen, deadline = set(), time.monotonic() + 120
+        while proc.poll() is None and time.monotonic() < deadline:
+            seen.update(processes_with(out))
+            time.sleep(0.005)
+        if proc.poll() is None:
+            proc.kill()
+        assert proc.wait() == 0, proc.stderr.read().decode()
+        proc.stderr.close()
+        assert len(seen) >= 2  # the CLI and at least one worker
+        assert processes_with(out) == []
 
 
 def reference_verify_unbiasedness(scenario, channel, a, trials, rng):
