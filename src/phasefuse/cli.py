@@ -28,7 +28,7 @@ import numpy as np
 from . import sdp
 from .channel import ScenarioConfig, ScenarioParams, generate_channel, sample_scenario
 from .errors import ConfigurationError, PhasefuseError
-from .estimator import fisher_matrix, noise_covariance
+from .estimator import fisher_factor, fisher_matrix, noise_covariance
 from .montecarlo import (
     ANTENNA_SWEEP,
     DEFAULT_STRATEGIES,
@@ -302,14 +302,16 @@ def _cmd_sweep(args, sweep: str, usage_error) -> int:
     return 0
 
 
-def _sample_instance(args, k: int) -> tuple[np.ndarray, RngStream]:
-    """The Fisher matrix B of instance k of ``run`` or ``oracle``, and its
-    stream (seed, k): child 0 draws the scenario and child 1 the channel."""
+def _sample_instance(args, k: int) -> tuple[np.ndarray, np.ndarray | None, RngStream]:
+    """The Fisher matrix B of instance k of ``run`` or ``oracle``, its factor
+    (``fisher_factor``, None when M >= N) and its stream (seed, k): child 0
+    draws the scenario and child 1 the channel."""
     stream = RngStream(args.seed, k)
     config = ScenarioConfig(n_sensors=args.sensors, n_antennas=args.antennas,
                             **_scenario_fields(args))
     scenario = sample_scenario(config, stream.child(0))
-    return fisher_matrix(generate_channel(scenario, stream.child(1)), scenario), stream
+    channel = generate_channel(scenario, stream.child(1))
+    return fisher_matrix(channel, scenario), fisher_factor(channel, scenario), stream
 
 
 def _cmd_run(args) -> int:
@@ -318,10 +320,10 @@ def _cmd_run(args) -> int:
         kinds.append(CLOSED_FORM_N2)
     for kind in kinds:
         check_sensor_count(kind, args.sensors)
-    b, stream = _sample_instance(args, 0)
+    b, factor, stream = _sample_instance(args, 0)
     print(f"instance: N={args.sensors} M={args.antennas} seed={args.seed}")
     for k, kind in enumerate(kinds):
-        report = optimize_phases(b, PhaseStrategy(kind), stream.child(10 + k))
+        report = optimize_phases(b, PhaseStrategy(kind), stream.child(10 + k), factor)
         relax = "" if report.relaxation_value is None \
             else f"  relaxation={report.relaxation_value:.6e}"
         print(
@@ -338,8 +340,8 @@ def _cmd_oracle(args) -> int:
     print(f"{'instance':>8} {'sdp_var':>14} {'grid_var':>14} {'ratio':>8}")
     worst = 0.0
     for k in range(args.instances):
-        b, stream = _sample_instance(args, k)
-        report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), stream.child(2))
+        b, factor, stream = _sample_instance(args, k)
+        report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), stream.child(2), factor)
         _, grid_val = grid_search(b)
         grid_var = 1.0 / grid_val
         ratio = report.achieved_variance / grid_var

@@ -14,6 +14,18 @@ Every B passes ``estimator.check_hermitian``. The closed form runs only at
 N = 2 and the grid oracle only at N <= 4 (``SENSOR_LIMITS``);
 ``check_sensor_count`` holds that rule for them and for
 ``montecarlo.ExperimentConfig``.
+
+The SDP strategy has a closed form when it is given a one-row factor F =
+f^H, B = f f^H, which ``estimator.fisher_factor`` returns for a single FC
+antenna (M = 1 < N). Then a^H B a = |f^H a|^2 <= (sum_i |f_i|)^2 for every
+unit-modulus a, and the same bound holds for the relaxation: tr(B A) = f^H A
+f <= sum_ij |f_i| |f_j| |A_ij| <= (sum_i |f_i|)^2, since a PSD A with a unit
+diagonal has |A_ij| <= 1. Co-phasing, a_i = f_i / |f_i|, attains it, so the
+relaxation is tight, its value is (sum_i |f_i|)^2 and co-phasing is the
+optimum; no ``SdpProblem`` is built, and neither ``sdp.solve`` nor the
+rounding (with its random draws) runs. A bare B, or a factor of two or more
+rows, takes the SDP path; ``sdp.solve`` still certifies a rank-one B for its
+own callers.
 """
 
 from __future__ import annotations
@@ -134,7 +146,10 @@ def optimize_phases(
 
     Given B's factor F, B = F^H F with F M x N (``fisher_factor``), the
     lower bound and the SDP's rank-one certificate take their spectral data
-    from the M x M F F^H; every other step reads B."""
+    from the M x M F F^H; every other step reads B. A one-row F = f^H
+    (M = 1) gives the SDP strategy's optimum in closed form: co-phasing
+    ``phase_normalize(f)``, with ``relaxation_value`` (sum_i |f_i|)^2,
+    which the relaxation attains (module docstring)."""
     b = np.asarray(b)
     lower = variance_lower_bound(b, factor)
     n = b.shape[0]
@@ -146,6 +161,11 @@ def optimize_phases(
         a = np.ones(n, dtype=complex)
     elif strategy.kind == GRID_ORACLE:
         a, _ = grid_search(b)
+    elif factor is not None and np.shape(factor)[0] == 1:  # SDP_RELAXATION, B = f f^H
+        # Co-phasing is the relaxation's optimum (module docstring).
+        row = np.asarray(factor)[0]  # f^H
+        a = sdp.phase_normalize(np.conj(row))
+        relaxation_value = float(np.sum(np.abs(row))) ** 2
     else:  # SDP_RELAXATION
         problem = sdp.SdpProblem(objective=b, factor=factor)
         solution = sdp.solve(problem)

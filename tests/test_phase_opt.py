@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from phasefuse.asymptotics import single_antenna_upper_bound
 from phasefuse.channel import ScenarioConfig, generate_channel, sample_scenario
 from phasefuse.errors import ConfigurationError
-from phasefuse.estimator import fisher_matrix
+from phasefuse.estimator import fisher_factor, fisher_matrix
 from phasefuse.phase_opt import (
     ALL_ONES,
     CLOSED_FORM_N2,
@@ -17,7 +19,7 @@ from phasefuse.phase_opt import (
     optimize_phases,
     optimize_phases_n2,
 )
-from phasefuse import lapack
+from phasefuse import lapack, sdp
 from phasefuse.rng import RngStream
 
 PI3_B = np.array([
@@ -28,6 +30,22 @@ PI3_B = np.array([
 
 def quad(a, b):
     return float(np.real(np.vdot(a, b @ a)))
+
+
+def count_calls(monkeypatch):
+    """Counts of the calls, from here on, to ``sdp.solve``,
+    ``sdp.extract_rank_one`` and ``RngStream.generator``."""
+    calls = {}
+    for owner, name in ((sdp, "solve"), (sdp, "extract_rank_one"),
+                        (RngStream, "generator")):
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def random_psd(gen, n):
@@ -186,13 +204,39 @@ class TestFeedbackRound:
 
     def test_single_antenna_matches_coherent_formula(self):
         # M=1: B is rank one, the relaxation is tight and the optimized
-        # variance equals the coherent-combining expression exactly.
-        for seed in range(5):
-            scn, ch = self._instance(n=6, m=1, seed=seed)
+        # variance equals the coherent-combining expression exactly; the
+        # phases co-phase the channel, a_i h_i / |h_i| the same for every i.
+        for n, seed in itertools.product((2, 6, 30, 100), range(5)):
+            scn, ch = self._instance(n=n, m=1, seed=seed)
             rep = feedback_round(ch, scn, PhaseStrategy(SDP_RELAXATION),
                                  RngStream(11, seed))
             expected = single_antenna_upper_bound(scn)
             assert rep.achieved_variance == pytest.approx(expected, rel=1e-6)
+            h = ch.matrix[0]
+            turn = rep.phases * h / np.abs(h)
+            assert np.max(np.abs(turn - turn[0])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 30, 100])
+    def test_one_row_factor_takes_the_closed_form(self, n, monkeypatch):
+        # With F = f^H (M = 1) the relaxation's value is (sum |f_i|)^2 and
+        # co-phasing attains it: no SDP solve, rounding or random draw.
+        scn, ch = self._instance(n=n, m=1, seed=n)
+        b, factor = fisher_matrix(ch, scn), fisher_factor(ch, scn)
+        solution = sdp.solve(sdp.SdpProblem(b))
+        bare = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), RngStream(15, n))
+        calls = count_calls(monkeypatch)
+        rep = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), RngStream(15, n), factor)
+        assert calls == {"solve": 0, "extract_rank_one": 0, "generator": 0}
+        assert rep.relaxation_value == pytest.approx(np.sum(np.abs(factor[0])) ** 2,
+                                                     rel=1e-15)
+        assert abs(rep.relaxation_value - solution.objective_value) <= solution.duality_gap
+        assert rep.achieved_variance == pytest.approx(bare.achieved_variance, rel=1e-12)
+
+    def test_two_row_factor_solves_the_sdp(self, monkeypatch):
+        scn, ch = self._instance(n=30, m=2)
+        calls = count_calls(monkeypatch)
+        feedback_round(ch, scn, PhaseStrategy(SDP_RELAXATION), RngStream(16, 0))
+        assert calls == {"solve": 1, "extract_rank_one": 1, "generator": 1}
 
     def test_grid_strategy_dispatch(self):
         scn, ch = self._instance(n=3, m=2)

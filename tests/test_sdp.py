@@ -447,6 +447,11 @@ class TestSolverContract:
         sol = solve_fisher(n, m, seed)
         assert abs(sol.objective_value - stored["objective_value"]) \
             <= sol.duality_gap + stored["duality_gap"]
+        # Criterion 4's certificates, read from the result alone.
+        lam_max = float(np.linalg.eigvalsh(sol.gram)[-1])
+        assert sol.duality_gap <= 1e-7 * max(1.0, abs(sol.objective_value))
+        assert sol.diag_residual <= 1e-8
+        assert sol.min_eigenvalue >= -1e-8 * max(1.0, lam_max)
 
 
 def solve_fisher(n, m, seed):
