@@ -384,24 +384,34 @@ def _cmd_selftest(_args) -> int:
         ok &= bool(err <= 1e-10 * max(1.0, np.linalg.norm(direct)))
     check("matrix-inversion-lemma identity", ok)
 
-    # Single antenna: B = h^H h / c has rank one, so solve certifies a a^H
-    # (a one-column factor) and the rounding co-phases the sensors,
-    # a_i = conj(h_i) / |h_i| up to a global phase, at (sum |h_i|)^2 / c.
+    # Single antenna: B = h^H h / c has rank one, and the optimum co-phases
+    # the sensors, a_i = conj(h_i) / |h_i| up to a global phase, at
+    # (sum |h_i|)^2 / c. Given B alone, solve certifies a a^H (a one-column
+    # factor) and the rounding finds a; given the one-row factor, as sweeps,
+    # feedback, run and oracle give it, optimize_phases takes its closed form.
     stream = RngStream(3, 0)
     scenario = sample_scenario(ScenarioConfig(n_sensors=30, n_antennas=1), stream.child(0))
     channel = generate_channel(scenario, stream.child(1))
     b = fisher_matrix(channel, scenario)
     h = channel.matrix[0]
-    c = float(np.real(noise_covariance(channel, scenario)[0, 0]))
+    optimum = np.sum(np.abs(h)) ** 2 / float(np.real(noise_covariance(channel, scenario)[0, 0]))
+
+    def co_phased(a) -> bool:
+        ratio = a * np.abs(h) / h.conj()
+        return bool(np.all(np.abs(ratio - ratio[0]) <= 1e-12))
+
     problem = sdp.SdpProblem(b)
     solution = sdp.solve(problem)
     a = sdp.extract_rank_one(solution, problem, stream.child(2))
-    ratio = a * np.abs(h) / h.conj()
     value = float(np.real(np.vdot(a, b @ a)))
     check("single-antenna co-phasing",
-          solution.factor.shape == (30, 1)
-          and bool(np.all(np.abs(ratio - ratio[0]) <= 1e-12))
-          and abs(value - np.sum(np.abs(h)) ** 2 / c) <= 1e-12 * value)
+          solution.factor.shape == (30, 1) and co_phased(a)
+          and abs(value - optimum) <= 1e-12 * value)
+    report = optimize_phases(b, PhaseStrategy(SDP_RELAXATION), stream.child(2),
+                             fisher_factor(channel, scenario))
+    check("single-antenna closed form",
+          co_phased(report.phases)
+          and abs(report.relaxation_value - optimum) <= 1e-12 * optimum)
 
     # Relaxation sandwich on random PSD instances.
     gen = np.random.default_rng(1)

@@ -4,14 +4,17 @@
 Sweeps the sensor count N (antenna count fixed) or the antenna count M
 (sensor count fixed), runs independent trials per sweep point, and
 aggregates mean variance and standard error per phase strategy. Trial t of
-point p uses the random stream (master_seed, p * trials + t), so results
-are a pure function of the config.
+point p is a function of (config, p, t) alone: it draws from the random
+stream (master_seed, p * trials + t), and its scenario from that stream's
+child 0, or from trial 0's child 0 when the scenario is held fixed per
+point. So results are a pure function of the config.
 
 A sweep splits each point's trials into contiguous shares, one per usable
 CPU (``os.sched_getaffinity``, which ``taskset`` narrows). The calling
-process runs the first share, and worker processes forked from it run the
-others and send back their outcomes over a pipe. The outcomes are put back
-in trial order before they are aggregated, so the results, and the CSV and
+process runs the first share. Each worker process forked from it receives
+(config, point, share) over a pipe and sends back that share's outcomes;
+concurrent sweeps take turns on the workers. The outcomes are put back in
+trial order before they are aggregated, so the results, and the CSV and
 JSON bytes, do not depend on the CPU count; ``taskset -c 0`` runs every
 trial in the calling process. The workers are forked at the first sweep that
 has two trials and two CPUs, and serve every later sweep until the process
@@ -28,6 +31,7 @@ from __future__ import annotations
 import os
 import signal
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +142,6 @@ class ExperimentConfig(ScenarioParams):
             for n in sensors:
                 check_sensor_count(kind, n)
 
-    def scenario_config(self, sweep_value: int) -> ScenarioConfig:
-        return _scenario_config(self, self.sweep, sweep_value)
-
 
 @dataclass
 class StrategyStats:
@@ -183,14 +184,26 @@ class _TrialOutcome:
     eq17: float
 
 
+def _draw(scn_config: ScenarioConfig, scenario_stream: RngStream,
+          stream: RngStream) -> tuple[Scenario, ChannelRealization]:
+    """The scenario drawn from ``scenario_stream.child(0)`` and its channel
+    from ``stream.child(1)``."""
+    scenario = sample_scenario(scn_config, scenario_stream.child(0))
+    return scenario, generate_channel(scenario, stream.child(1))
+
+
 def _run_trial(
-    config: ExperimentConfig,
-    scn_config: ScenarioConfig,
-    stream: RngStream,
-    fixed_scenario: Scenario | None,
+    config: ExperimentConfig, scn_config: ScenarioConfig, point: int, t: int
 ) -> _TrialOutcome:
-    scenario = fixed_scenario or sample_scenario(scn_config, stream.child(0))
-    channel = generate_channel(scenario, stream.child(1))
+    """Trial ``t`` of sweep point ``point``, whose scenario config is
+    ``scn_config`` (module docstring)."""
+    first = point * config.trials
+    stream = RngStream(config.master_seed, first + t)
+    scenario, channel = _draw(
+        scn_config,
+        stream if config.resample_scenario_per_trial
+        else RngStream(config.master_seed, first),
+        stream)
     b = fisher_matrix(channel, scenario)
     factor = fisher_factor(channel, scenario)
     lb = variance_lower_bound(b, factor)
@@ -223,19 +236,10 @@ def _run_trial(
     )
 
 
-def _run_trials(
-    config: ExperimentConfig,
-    scn_config: ScenarioConfig,
-    fixed_scenario: Scenario | None,
-    point: int,
-    trials: range,
-) -> list[_TrialOutcome]:
+def _run_trials(config: ExperimentConfig, point: int, trials: range) -> list[_TrialOutcome]:
     """The outcomes of trials ``trials`` of sweep point ``point``, in order."""
-    return [
-        _run_trial(config, scn_config,
-                   RngStream(config.master_seed, point * config.trials + t), fixed_scenario)
-        for t in trials
-    ]
+    scn_config = _scenario_config(config, config.sweep, config.sweep_values[point])
+    return [_run_trial(config, scn_config, point, t) for t in trials]
 
 
 def _usable_cpus() -> int:
@@ -352,35 +356,32 @@ class _Workers:
 
 
 _WORKERS = _Workers()
+_WORKERS_LOCK = threading.Lock()  # held by the caller that talks to _WORKERS
 
 
-def _run_point(
-    config: ExperimentConfig,
-    scn_config: ScenarioConfig,
-    fixed_scenario: Scenario | None,
-    point: int,
-) -> list[_TrialOutcome]:
+def _run_point(config: ExperimentConfig, point: int) -> list[_TrialOutcome]:
     """Every trial outcome of sweep point ``point``, in trial order: the first
-    share in this process and one share per other usable CPU in a worker."""
-    job = (config, scn_config, fixed_scenario, point)
+    share in this process and one share per other usable CPU in a worker.
+    Concurrent callers take turns on the workers."""
     shares = _shares(config.trials, _usable_cpus())
     if len(shares) == 1:
-        return _run_trials(*job, shares[0])
-    conns = _WORKERS.connections(len(shares) - 1)
-    try:
-        for conn, share in zip(conns, shares[1:]):
-            conn.send((*job, share))
+        return _run_trials(config, point, shares[0])
+    with _WORKERS_LOCK:
+        conns = _WORKERS.connections(len(shares) - 1)
         try:
-            replies = [(True, _run_trials(*job, shares[0]))]
-        except Exception as exc:  # raised below, after every worker has replied
-            replies = [(False, exc)]
-        replies += [conn.recv() for conn in conns]
-    except (EOFError, OSError) as exc:
-        _WORKERS.stop(terminate=True)
-        raise ChildProcessError("a sweep worker process exited unexpectedly") from exc
-    except BaseException:  # an interrupt: leave no reply to be read later
-        _WORKERS.stop(terminate=True)
-        raise
+            for conn, share in zip(conns, shares[1:]):
+                conn.send((config, point, share))
+            try:
+                replies = [(True, _run_trials(config, point, shares[0]))]
+            except Exception as exc:  # raised below, after every worker has replied
+                replies = [(False, exc)]
+            replies += [conn.recv() for conn in conns]
+        except (EOFError, OSError) as exc:
+            _WORKERS.stop(terminate=True)
+            raise ChildProcessError("a sweep worker process exited unexpectedly") from exc
+        except BaseException:  # an interrupt: leave no reply to be read later
+            _WORKERS.stop(terminate=True)
+            raise
     outcomes: list[_TrialOutcome] = []
     for ok, value in replies:  # the earliest share's error is the serial one
         if not ok:
@@ -395,13 +396,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     points: list[PointResult] = []
 
     for p, value in enumerate(config.sweep_values):
-        scn_config = config.scenario_config(value)
-        fixed_scenario = None
-        if not config.resample_scenario_per_trial:
-            fixed_scenario = sample_scenario(
-                scn_config, RngStream(config.master_seed, p * config.trials).child(0))
-
-        outcomes = _run_point(config, scn_config, fixed_scenario, p)
+        outcomes = _run_point(config, p)
 
         stats: dict[str, StrategyStats] = {}
         degraded = False
@@ -530,8 +525,7 @@ def verify_diagonal_concentration(config: ConcentrationConfig) -> ConcentrationR
         rels = np.zeros(config.n_draws)
         for t in range(config.n_draws):
             stream = RngStream(config.master_seed, p * config.n_draws + t)
-            scenario = sample_scenario(scn_config, stream.child(0))
-            channel = generate_channel(scenario, stream.child(1))
+            scenario, channel = _draw(scn_config, stream, stream)
             h = channel.matrix
             if config.mode == SENSOR_SWEEP:
                 g = (h * scenario.sensor_noise_powers[np.newaxis, :]) @ h.conj().T / value

@@ -1,7 +1,6 @@
-"""phasefuse.lapack against scipy.linalg: the same errors, the same bits after
-a later ``scipy.linalg`` import, and no ``scipy.linalg`` import of its own. The
-IPM's eigensolves and Cholesky solves are compared in
-``test_sdp.TestDirectLapack``."""
+"""phasefuse.lapack against scipy.linalg: the same bits and errors, the same
+bits after a later ``scipy.linalg`` import, and no ``scipy.linalg`` import of
+its own."""
 
 import json
 import re
@@ -49,6 +48,26 @@ PAIRS = {
 
 
 READS_B = ("cho_solve", "solve_triangular", "pencil_min_eigenvalue")
+
+
+def arrays(result) -> list:
+    """A call's result as a list of arrays: a float becomes a 1-vector, and
+    scipy's ``cho_factor`` flag ``lower`` is dropped."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.atleast_1d(x) for x in parts if not isinstance(x, bool)]
+
+
+@pytest.mark.parametrize("n", [2, 10, 30, 60])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", PAIRS)
+def test_same_bits_as_scipy(name, dtype, n):
+    gen = np.random.default_rng(n)
+    a, b = positive_definite(gen, n, dtype), hermitian(gen, n, dtype)
+    ours, theirs = (arrays(call(a, b)) for call in PAIRS[name])
+    assert len(ours) == len(theirs) >= 1
+    for x, y in zip(ours, theirs):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from phasefuse import lapack, montecarlo
+from phasefuse.asymptotics import large_n_lower_bound, single_antenna_upper_bound
 from phasefuse.channel import (
     NOISE_BLOCK_ROWS,
     Scenario,
@@ -200,7 +202,8 @@ class TestRunSweep:
         expected = []
         for t in range(20):
             stream = RngStream(3, t)
-            scn = sample_scenario(cfg.scenario_config(1), stream.child(0))
+            scn = sample_scenario(ScenarioConfig(n_sensors=1, n_antennas=1, **cfg.params()),
+                                  stream.child(0))
             ch = generate_channel(scn, stream.child(1))
             h2 = abs(ch.matrix[0, 0]) ** 2
             b = h2 / (h2 * scn.sensor_noise_powers[0] + scn.fc_noise_power)
@@ -295,12 +298,21 @@ class TestRunSweep:
         assert np.isfinite(sdp.mean_variance)
 
     def test_fixed_scenario_mode(self):
+        # Every trial of point p uses the scenario drawn from trial 0's
+        # stream, so the point's eq11 and eq12 are that scenario's.
         cfg = small_config(resample_scenario_per_trial=False, trials=5)
-        result = run_sweep(cfg)  # mainly: runs and stays deterministic
-        assert result.points[0].trials == 5
+        result = run_sweep(cfg)
+        for p, point in enumerate(result.points):
+            assert point.trials == 5
+            scn = sample_scenario(
+                ScenarioConfig(n_sensors=point.sweep_value, n_antennas=cfg.fixed_count,
+                               **cfg.params()),
+                RngStream(cfg.master_seed, p * cfg.trials).child(0))
+            assert point.eq11 == pytest.approx(large_n_lower_bound(scn), rel=1e-15, abs=0)
+            assert point.eq12 == pytest.approx(
+                single_antenna_upper_bound(scn), rel=1e-15, abs=0)
         again = run_sweep(cfg)
-        assert result.points[0].lower_bound_mean \
-            == again.points[0].lower_bound_mean
+        assert repr(result.points) == repr(again.points)
 
     def test_asymptotics_columns(self):
         r_n = run_sweep(small_config())
@@ -374,10 +386,10 @@ class TestWorkers:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         run_trial = montecarlo._run_trial
 
-        def degenerate_trial_1(config, scn_config, stream, fixed_scenario):
-            if config.master_seed == 99 and stream.stream_index == 1:
+        def degenerate_trial_1(config, scn_config, point, t):
+            if config.master_seed == 99 and t == 1:
                 raise DegenerateInstanceError(f"raised in process {os.getpid()}")
-            return run_trial(config, scn_config, stream, fixed_scenario)
+            return run_trial(config, scn_config, point, t)
 
         # Trial 0 runs here, trial 1 in the first worker, trials 2 and 3 in
         # the second.
@@ -392,6 +404,35 @@ class TestWorkers:
         # The same workers serve the next sweep, with no reply left over.
         assert repr(run_sweep(cfg).points) == expected
         assert [proc.pid for proc, _ in montecarlo._WORKERS.procs] == workers
+
+    @pytest.mark.parametrize("overrides", [
+        dict(), dict(resample_scenario_per_trial=False),
+    ], ids=["fig1", "fixed_scenario"])
+    def test_concurrent_sweeps_keep_their_own_results(self, monkeypatch, overrides):
+        # Two threads share the workers: each must read only its own replies,
+        # and neither may wait for a reply that the other took.
+        configs = [small_config(sweep_values=(6, 8, 10), fixed_count=4, trials=6,
+                                master_seed=seed, **overrides) for seed in (11, 12)]
+        use_cpus(monkeypatch, 1)
+        serial = [repr(run_sweep(cfg).points) for cfg in configs]
+        use_cpus(monkeypatch, 2)
+        run_sweep(configs[0])  # the workers are forked before any thread starts
+        found: list[list] = [[], []]
+
+        def sweep(k):
+            for _ in range(5):
+                try:
+                    found[k].append(repr(run_sweep(configs[k]).points))
+                except Exception as exc:
+                    found[k].append(exc)
+
+        threads = [threading.Thread(target=sweep, args=(k,), daemon=True) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert found == [[expected] * 5 for expected in serial]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_cli_leaves_no_process_behind(self, tmp_path):

@@ -121,17 +121,16 @@ def test_certified_optimum_matches_interior_point(instance):
 @SETTINGS
 @given(fisher_instances())
 def test_factor_path_agrees_with_dense(instance):
-    # lambda_max(B) from F F^H is that of B, and fisher_factor's F and the
-    # factor solve derives from the dense eigh(B) certify alike.
+    # lambda_max(B) from F F^H is that of B, and a solve given fisher_factor's
+    # F and one that derives its factor from B certify alike. A solve is
+    # certified exactly when its factor has one column.
     b, f = instance
     lam = float(lapack.eigvalsh(b)[-1])
     assert abs(1.0 / (b.shape[0] * variance_lower_bound(b, f)) - lam) <= 1e-13 * lam
-    problem = SdpProblem(b, f)
-    b = problem.objective
-    derived = sdp._rank_one_certificate(b, sdp._psd_factor(b))
-    got = derived if f is None else sdp._rank_one_certificate(b, problem.factor)
-    assert (got is None) == (derived is None)
-    if derived is not None:
+    got, derived = solve(SdpProblem(b, f)), solve(SdpProblem(b))
+    certified = derived.factor.shape[1] == 1
+    assert (got.factor.shape[1] == 1) == certified
+    if certified:
         assert abs(got.objective_value - derived.objective_value) \
             <= 1e-12 * derived.objective_value
         assert got.duality_gap <= sdp.GAP_TOL * max(1.0, got.objective_value)
@@ -151,6 +150,15 @@ def dual_function(f, s):
     return 2.0 * float(np.sum(np.sqrt(np.maximum(quad, 0.0)))) - float(np.real(np.trace(s)))
 
 
+def scaled_dual_value(f, s):
+    """lambda sum(y) for y_i = sqrt(f_i^H S f_i) and lambda = lambda_max(F
+    Diag(1/y) F^H): lambda y is feasible for min sum(y), Diag(y) >= F^H F
+    (the Schur form of sum_i f_i f_i^H / y_i <= I), so for every S with all
+    y_i > 0 it is at least the relaxation's optimum (weak duality)."""
+    y = np.sqrt(np.real(np.einsum("ki,kl,li->i", f.conj(), s, f)))
+    return float(lapack.eigvalsh((f / y) @ f.conj().T)[-1]) * float(np.sum(y))
+
+
 @SETTINGS
 @given(fisher_instances(), st.integers(0, 2**32 - 1))
 def test_weak_duality(instance, seed):
@@ -168,6 +176,7 @@ def test_weak_duality(instance, seed):
         f = (u * np.sqrt(np.maximum(w, 0.0))).conj().T
     upper = sol.objective_value + sol.duality_gap
     slack = 1e-10 * max(1.0, abs(sol.objective_value))
+    tight = 1e-12 * max(1.0, abs(sol.objective_value))
     gen = np.random.default_rng(seed)
     for rank in range(1, f.shape[0] + 1):
         w = gen.standard_normal((f.shape[0], rank)) + 1j * gen.standard_normal((f.shape[0], rank))
@@ -175,7 +184,9 @@ def test_weak_duality(instance, seed):
         root = np.sqrt(np.real(np.einsum("ki,kl,li->i", f.conj(), s, f)))
         s *= (np.sum(root) / np.real(np.trace(s))) ** 2  # maximizes g(t S) over t > 0
         assert dual_function(f, s) <= upper + slack
+        assert scaled_dual_value(f, s) >= sol.objective_value - tight
     if sol.factor.shape[1] == 1:  # a certified rank-one optimum a a^H
         fa = f @ sol.factor[:, 0]
-        g = dual_function(f, np.outer(fa, fa.conj()))
-        assert sol.objective_value - slack <= g <= upper + slack
+        s = np.outer(fa, fa.conj())
+        assert sol.objective_value - slack <= dual_function(f, s) <= upper + slack
+        assert sol.objective_value - tight <= scaled_dual_value(f, s) <= upper + slack
