@@ -43,8 +43,8 @@ NOISE_BLOCK_ROWS = 1024
 
 def check_count(name: str, value, minimum: int = 1) -> int:
     """``value`` as an int if it is a whole number >= ``minimum`` (4.0 passes)."""
-    try:
-        if int(value) == value >= minimum:
+    try:  # a bool is an int to Python, but not a count
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value >= minimum:
             return int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, inf or not a number
         pass
@@ -170,12 +170,9 @@ class ChannelRealization:
     """One draw of the M x N channel, |H[m, i]| = d_i^{-alpha} exactly."""
 
     matrix: np.ndarray  # (M, N) complex
-    phases: np.ndarray  # (M, N) real in [0, 2pi)
 
     def __post_init__(self):
-        matrix = check_array("matrix", self.matrix, ("M", "N"))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "phases", check_array("phases", self.phases, matrix.shape))
+        object.__setattr__(self, "matrix", check_array("matrix", self.matrix, ("M", "N")))
 
 
 def channel_matrix(channel: ChannelRealization, scenario: Scenario) -> np.ndarray:
@@ -216,7 +213,7 @@ def generate_channel(scenario: Scenario, rng: RngStream) -> ChannelRealization:
     matrix = np.multiply(1j, phases)
     np.exp(matrix, out=matrix)
     np.multiply(amps[np.newaxis, :], matrix, out=matrix)
-    return ChannelRealization(matrix=matrix, phases=phases)
+    return ChannelRealization(matrix=matrix)
 
 
 def complex_gaussian(gen: np.random.Generator, variances, size) -> np.ndarray:

@@ -59,7 +59,7 @@ def _float_cell(x) -> str:
 # are written with repr so they round-trip bit-exactly, None as an empty
 # cell. CSV_HEADER, the CSV rows and the JSON keys all derive from it.
 COLUMNS = (
-    ("sweep_param", attrgetter("result.sweep_param"), str),
+    ("sweep_param", attrgetter("result.config.sweep"), str),
     ("value", attrgetter("point.sweep_value"), str),
     ("strategy", attrgetter("strategy"), str),
     ("mean_variance", attrgetter("stats.mean_variance"), _float_cell),
@@ -263,7 +263,7 @@ print("wrote", {png_path!r})
 
 def emit_plot_script(result: SweepResult, path: str, csv_path: str) -> None:
     """Write a self-contained matplotlib script that renders ``csv_path``."""
-    xlabel = "number of sensors N" if result.sweep_param == SENSOR_SWEEP \
+    xlabel = "number of sensors N" if result.config.sweep == SENSOR_SWEEP \
         else "number of FC antennas M"
     # figure name derives from the CSV, so the script bytes depend only on
     # the result contents, not on where the script itself is written
@@ -292,6 +292,9 @@ def _cmd_sweep(args, sweep: str, usage_error) -> int:
     if args.emit_plot_script and args.output is None:
         # Without --output the CSV goes to stdout, not to a file to read.
         usage_error("--emit-plot-script needs --output")
+    if args.emit_plot_script and os.path.realpath(args.emit_plot_script) == os.path.realpath(
+            args.output):  # the script would overwrite the CSV it reads
+        usage_error("--emit-plot-script must name a file other than --output")
     result = run_sweep(_sweep_config(args, sweep))
     if args.format == "json":
         _write_text(render_json(result), args.output)

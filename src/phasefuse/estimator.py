@@ -141,12 +141,9 @@ def check_factor(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return f
 
 
-def check_unit_modulus(a: np.ndarray) -> None:
-    _check_unit_modulus(check_array("a", a, ("N",)))
-
-
 def _check_unit_modulus(a: np.ndarray) -> None:
-    """``check_unit_modulus`` of an ``a`` that ``check_array`` has passed."""
+    """Raise ConfigurationError unless every entry of ``a``, an array that
+    ``check_array`` has passed, has unit modulus within 1e-12."""
     if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
         raise ConfigurationError("phase vector entries must have unit modulus")
 

@@ -168,7 +168,6 @@ class PointResult:
 
 @dataclass
 class SweepResult:
-    sweep_param: str
     points: list[PointResult]
     config: ExperimentConfig
 
@@ -429,7 +428,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             point.eq17 = float(np.mean([o.eq17 for o in outcomes]))
         points.append(point)
 
-    return SweepResult(sweep_param=config.sweep, points=points, config=config)
+    return SweepResult(points=points, config=config)
 
 
 @dataclass

@@ -56,14 +56,14 @@ instances. An instance it declines runs the IPM with the same bits as
 without the attempt: the IPM starts from its own ``eigvalsh(B)``, not from
 the certificate's eigenvalues, which can differ in the last bit. It keeps
 that N x N eigensolve for as long as the rounding's choice among near-tied
-candidates can turn on the last bit of the gram.
+candidates can turn on the last bit of the factor.
 
-Every solution carries a factor V of its gram, ``gram = V V^H``, which is
-all ``extract_rank_one`` reads of it. A certified solution's factor is
-``a[:, None]`` and its smallest eigenvalue is 0 by construction, so the
-rounding makes no eigensolve. The IPM's final X is eigendecomposed once,
-``V = U sqrt(w)`` with eigenvalues below ``EIG_CLIP_REL * lambda_max``
-clipped to zero, and ``min_eigenvalue`` is the unclipped ``w[0]``.
+A solution holds its gram A* only as a factor V, all that ``extract_rank_one``
+reads; ``SdpSolution.gram`` forms ``V V^H`` on each read. A certified V is
+``a[:, None]``, with smallest eigenvalue 0 and diagonal ``a * conj(a)``: no
+eigensolve and no N x N gram. The IPM's final X is eigendecomposed once, ``V =
+U sqrt(w)`` with eigenvalues below ``EIG_CLIP_REL * lambda_max`` clipped; X
+gives ``min_eigenvalue`` (the unclipped ``w[0]``) and ``diag_residual``.
 """
 
 from __future__ import annotations
@@ -121,18 +121,21 @@ class SdpSolution:
     """Relaxed optimum with feasibility and optimality certificates.
 
     ``factor`` V is ``a[:, None]`` for a certified ``a a^H``, and ``U
-    sqrt(w)`` from the eigendecomposition of an interior-point gram, where
-    ``V V^H`` is the gram up to the eigenvalues clipped below
-    ``EIG_CLIP_REL * lambda_max``.
+    sqrt(w)`` from the eigendecomposition of the interior-point iterate A*,
+    whose eigenvalues below ``EIG_CLIP_REL * lambda_max`` it drops.
     """
 
-    gram: np.ndarray          # A*, N x N Hermitian PSD, unit diagonal
-    factor: np.ndarray        # V, N x k, gram = V V^H; last column leading
+    factor: np.ndarray        # V, N x k; last column leading
     objective_value: float    # tr(B A*)
     duality_gap: float        # e^T y - tr(B A*) = <A*, Z> >= 0
     diag_residual: float      # max_i |A*_{ii} - 1|
     min_eigenvalue: float     # smallest eigenvalue of A*
     iterations: int           # IPM iterations, or power steps of a certified a a^H
+
+    @property
+    def gram(self) -> np.ndarray:
+        """``V V^H``: A* up to its clipped eigenvalues, formed on each read."""
+        return self.factor @ self.factor.conj().T
 
 
 def _herm(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -188,15 +191,14 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def _solution(
-    x: np.ndarray, factor: np.ndarray, min_eigenvalue: float,
+    diagonal: np.ndarray, factor: np.ndarray, min_eigenvalue: float,
     objective: float, gap: float, iterations: int,
 ) -> SdpSolution:
     return SdpSolution(
-        gram=x,
         factor=factor,
         objective_value=objective,
         duality_gap=max(gap, 0.0),
-        diag_residual=float(np.max(np.abs(np.real(np.diag(x)) - 1.0))),
+        diag_residual=float(np.max(np.abs(np.real(diagonal) - 1.0))),
         min_eigenvalue=min_eigenvalue,
         iterations=iterations,
     )
@@ -249,8 +251,9 @@ def _rank_one_certificate(b: np.ndarray, factor: np.ndarray) -> SdpSolution | No
     gap = residual + n * lift
     if not (gap <= budget and _dominates(y + lift, factor)):
         return None
-    # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0: no eigensolve.
-    return _solution(np.outer(a, a.conj()), a[:, np.newaxis], 0.0, obj, gap, steps)
+    # a a^H with unit-modulus a, N >= 2, has eigenvalues N and 0 and diagonal
+    # a * conj(a), the products np.outer(a, a.conj()) forms: no eigensolve.
+    return _solution(a * a.conj(), a[:, np.newaxis], 0.0, obj, gap, steps)
 
 
 def _trace_of_product(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
@@ -335,7 +338,8 @@ def _interior_point(b: np.ndarray) -> SdpSolution:
     # eigenvalues below EIG_CLIP_REL * lambda_max clipped, and lambda_min.
     w, u = lapack.eigh(x)
     factor = u * np.sqrt(np.where(w < EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w))
-    return _solution(x, factor, float(w[0]), _trace_of_product(b, x, scratch), gap, iterations)
+    return _solution(np.diag(x), factor, float(w[0]), _trace_of_product(b, x, scratch), gap,
+                     iterations)
 
 
 @single_threaded()
@@ -354,7 +358,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     b = problem.objective
     if problem.dimension == 1:
         one = np.ones((1, 1), dtype=complex)
-        return _solution(one, one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
+        return _solution(one[0], one, 1.0, float(np.real(b[0, 0])), 0.0, 0)
 
     factor = _psd_factor(b) if problem.factor is None else problem.factor
     sol = _rank_one_certificate(b, factor)
@@ -381,7 +385,7 @@ def extract_rank_one(
 ) -> np.ndarray:
     """Round the relaxed optimum to a unit-modulus vector.
 
-    With the factor V of ``gram = V V^H`` (N x k, see ``SdpSolution``), draw
+    With the gram's factor V (N x k, see ``SdpSolution``), draw
     ``NUM_CANDIDATES`` random unit-modulus vectors r of length k and
     phase-normalize V r; no eigendecomposition is made here. The
     phase-normalized leading column of V (the leading eigenvector of A*) and

@@ -11,6 +11,10 @@ Which bound each closeness criterion compares against:
      bound, whose gap to it shrinks like sqrt(M/N) (about 0.10 at N=200,
      0.04 at N=800). The check is within 10% at N=800 and at least 1.5x
      shrinkage from N=200 to N=800.
+  criterion 10b: eq. 17, the large-M law, in both noise regimes. All-ones
+     phases sit on it; optimized phases sit below it by a gap that shrinks
+     with M. With small sensor noise the variance falls like 1/M; with
+     sensor noise 1e-2 it saturates, as eq. 17's M sigma_v^2 term says.
 """
 
 import os
@@ -323,6 +327,38 @@ def test_criterion_10_one_over_m_scaling():
     ok = all(1.8 <= r <= 2.2 for r in ratios)
     report(10, "variance halves from M to 2M for M >= 16 at sigma_v^2 = 1e-5",
            ok, f"(ratios {[round(r, 3) for r in ratios]})")
+
+
+def test_criterion_10b_large_m_law_in_both_noise_regimes():
+    # N = 4, M = 16..256, optimized and all-ones phases, sensor noise small
+    # (1e-5) and not small (1e-2) against the FC noise 0.1. Measured over
+    # seeds 0-4 before the bounds were set: all-ones within 5.8% of eq. 17;
+    # the SDP's gap below eq. 17 shrank at every doubling, to 0.106-0.108
+    # (quiet) and 0.046-0.047 (noisy) at M = 256; from M = 64 to 256 the means
+    # fell 3.35-4.29x (quiet) and 1.85-2.22x (noisy).
+    labels = (SDP_RELAXATION, ALL_ONES)
+    details, ok = [], True
+    for regime, sv in (("quiet", 1e-5), ("noisy", 1e-2)):
+        result = run_sweep(ExperimentConfig(
+            sweep=ANTENNA_SWEEP, sweep_values=(16, 32, 64, 128, 256), fixed_count=4,
+            trials=300, master_seed=0, strategies=tuple(map(PhaseStrategy, labels)),
+            sensor_noise_range=(sv, sv),
+        ))
+        eq17 = np.array([p.eq17 for p in result.points])
+        means = {s: np.array([_stats(p, s).mean_variance for p in result.points])
+                 for s in labels}
+        ones_err = np.max(np.abs(means[ALL_ONES] / eq17 - 1.0))
+        sdp_gap = 1.0 - means[SDP_RELAXATION] / eq17
+        fall = {s: m[2] / m[-1] for s, m in means.items()}
+        ok &= ones_err <= 0.10
+        ok &= bool(np.all(sdp_gap > 0) and np.all(np.diff(sdp_gap) < 0) and sdp_gap[-1] <= 0.15)
+        ok &= all(3.0 <= f <= 5.0 if regime == "quiet" else f <= 2.6 for f in fall.values())
+        details.append(f"{regime}: all_ones vs eq17 {ones_err:.3f}, sdp gap "
+                       f"{[round(float(g), 3) for g in sdp_gap]}, M=64->256 fall "
+                       + ", ".join(f"{s} {f:.2f}" for s, f in fall.items()))
+    report("10b", "large M, sigma_v^2 in {1e-5, 1e-2}: all-ones within 10% of eq. 17, SDP "
+                  "gap below it shrinking to <= 15%; mean falls 3-5x from M=64 to 256 "
+                  "when quiet, <= 2.6x when noisy", ok, "(" + "; ".join(details) + ")")
 
 
 def test_criterion_11_ratio_identity():

@@ -15,7 +15,7 @@ from phasefuse import ConfigurationError, estimator, montecarlo, phase_opt
 
 # Callables in phasefuse.__all__: parameters, or fields for a dataclass.
 PUBLIC = {
-    "ChannelRealization": ("matrix", "phases"),
+    "ChannelRealization": ("matrix",),
     "ConfigurationError": ("*args",),
     "ConvergenceError": ("message", "best_solution"),
     "DegenerateInstanceError": ("*args",),
@@ -30,7 +30,7 @@ PUBLIC = {
     "ScenarioParams": ("path_loss_exp", "fc_noise_power", "distance_range",
                        "sensor_noise_range"),
     "SdpProblem": ("objective", "factor"),
-    "SdpSolution": ("gram", "factor", "objective_value", "duality_gap", "diag_residual",
+    "SdpSolution": ("factor", "objective_value", "duality_gap", "diag_residual",
                     "min_eigenvalue", "iterations"),
     "estimator_variance": ("a", "b"),
     "extract_rank_one": ("solution", "problem", "rng"),
@@ -48,9 +48,8 @@ PUBLIC = {
     "variance_lower_bound": ("b", "factor"),
 }
 
-# The sweep and verification entry points, the grid oracle, the unit-modulus
-# check, the ML estimate's weights, and the config and report dataclasses
-# outside __all__.
+# The sweep and verification entry points, the grid oracle, the ML estimate's
+# weights, and the config and report dataclasses outside __all__.
 MODULES = {
     montecarlo: {
         "run_sweep": ("config",),
@@ -63,7 +62,7 @@ MODULES = {
         "ConcentrationConfig": ("path_loss_exp", "fc_noise_power", "distance_range",
                                 "sensor_noise_range", "mode", "values", "fixed_count",
                                 "n_draws", "master_seed"),
-        "SweepResult": ("sweep_param", "points", "config"),
+        "SweepResult": ("points", "config"),
         "PointResult": ("sweep_value", "trials", "strategy_stats", "lower_bound_mean", "eq11",
                         "eq12", "eq17", "degraded"),
         "StrategyStats": ("mean_variance", "std_err", "failures", "relaxation_bound_mean"),
@@ -76,7 +75,6 @@ MODULES = {
         "grid_search": ("b",),
     },
     estimator: {
-        "check_unit_modulus": ("a",),
         "ml_weights": ("channel", "scenario", "a"),
     },
 }
@@ -117,7 +115,7 @@ F = phasefuse.fisher_factor(CHANNEL, SCENARIO)
 SOLUTION = phasefuse.solve(phasefuse.SdpProblem(B, F))
 VALID = {
     "a": np.ones(4, dtype=complex), "b": B, "factor": F, "objective": B,
-    "y": np.ones(2, dtype=complex), "matrix": CHANNEL.matrix, "phases": CHANNEL.phases,
+    "y": np.ones(2, dtype=complex), "matrix": CHANNEL.matrix,
     "distances": SCENARIO.distances, "sensor_noise_powers": SCENARIO.sensor_noise_powers,
     "distance_range": (2.0, 7.0), "sensor_noise_range": (0.001, 0.01),
     "channel": CHANNEL, "scenario": SCENARIO, "solution": SOLUTION,
@@ -128,7 +126,7 @@ VALID = {
 }
 WRONG = {
     "a": np.ones((4, 1)), "b": np.ones((4, 3)), "factor": F[:, :3], "objective": B[:, :3],
-    "y": np.ones(3), "matrix": np.ones(4), "phases": np.zeros((3, 3)),
+    "y": np.ones(3), "matrix": np.ones(4),
     "distances": np.ones(3), "sensor_noise_powers": np.full(3, 0.01),
     "distance_range": (2.0, 5.0, 7.0), "sensor_noise_range": 0.01,
     "channel": phasefuse.generate_channel(

@@ -41,7 +41,7 @@ def reference_channel(scenario, rng):
     m, n = scenario.n_antennas, scenario.n_sensors
     phases = rng.generator().uniform(0.0, 2.0 * np.pi, size=(m, n))
     amps = scenario.distances ** (-scenario.path_loss_exp)
-    return amps[np.newaxis, :] * np.exp(1j * phases), phases
+    return amps[np.newaxis, :] * np.exp(1j * phases)
 
 
 class TestSampleScenario:
@@ -92,8 +92,9 @@ class TestCheckCount:
         count = check_count("n", value)
         assert count == 3 and type(count) is int
 
+    # True == 1, but a flag is not a count.
     @pytest.mark.parametrize("value", [2.5, 0, -1, 0.0, np.nan, np.inf, -np.inf, "3",
-                                       None, 1 + 0j])
+                                       None, 1 + 0j, True, np.True_])
     def test_others_rejected(self, value):
         with pytest.raises(ConfigurationError, match="n must be >= 1 and integral"):
             check_count("n", value)
@@ -215,11 +216,13 @@ class TestGenerateChannel:
         assert np.max(np.abs(prod - 1.0)) < 1e-14
 
     def test_phases_in_range_and_match_matrix(self):
+        # The channel keeps only its matrix, whose phases are the stream's
+        # first draws, uniform on [0, 2pi).
         scn = make_scenario()
         ch = generate_channel(scn, RngStream(3, 0))
-        assert np.all(ch.phases >= 0.0) and np.all(ch.phases < 2 * np.pi)
-        rebuilt = (scn.distances ** -scn.path_loss_exp)[np.newaxis, :] * np.exp(1j * ch.phases)
-        assert np.allclose(rebuilt, ch.matrix)
+        phases = RngStream(3, 0).generator().uniform(0.0, 2 * np.pi, size=ch.matrix.shape)
+        assert np.all(phases >= 0.0) and np.all(phases < 2 * np.pi)
+        assert np.abs(np.angle(ch.matrix * np.exp(-1j * phases))).max() <= 1e-12
 
     def test_uniform_phase_mean_near_zero(self):
         scn = make_scenario(n=1000, m=100, alpha=0.0, d=np.full(1000, 1.0),
@@ -241,8 +244,7 @@ class TestGenerateChannel:
             RngStream(11, m),
         )
         ch = generate_channel(scn, RngStream(12, n))
-        matrix, phases = reference_channel(scn, RngStream(12, n))
-        assert ch.phases.tobytes() == phases.tobytes()
+        matrix = reference_channel(scn, RngStream(12, n))
         assert ch.matrix.dtype == matrix.dtype and ch.matrix.shape == matrix.shape
         assert ch.matrix.tobytes() == matrix.tobytes()
 
@@ -365,8 +367,7 @@ class TestSynthesize:
     def test_circular_symmetry(self):
         scn = make_scenario(n=1, m=1, sv=[0.04], fc=0.09, d=[1.0], alpha=0.0,
                             theta=0.0)
-        ch = ChannelRealization(matrix=np.zeros((1, 1), dtype=complex),
-                                phases=np.zeros((1, 1)))
+        ch = ChannelRealization(matrix=np.zeros((1, 1), dtype=complex))
         draws = np.array([
             synthesize_received_signal(scn, ch, np.ones(1), RngStream(9, t))[0]
             for t in range(10_000)
@@ -468,6 +469,7 @@ class TestRngStream:
     @pytest.mark.parametrize("args,field", [
         ((-1,), "master_seed"), ((1.5,), "master_seed"), ((0, -1), "stream_index"),
         ((0, 1.5), "stream_index"), ((0, 0, (-1,)), "key"), ((0, 0, (2, 1.5)), "key"),
+        ((True,), "master_seed"), ((0, np.True_), "stream_index"), ((0, 0, (False,)), "key"),
     ])
     def test_bad_key_rejected_when_built(self, args, field):
         # SeedSequence takes only nonnegative integers, at .generator().
@@ -477,6 +479,10 @@ class TestRngStream:
     def test_bad_child_key_rejected_when_made(self):
         with pytest.raises(ConfigurationError, match="^key must be >= 0 and integral, got -1$"):
             RngStream(1).child(-1)
+
+    def test_boolean_child_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="^key must be >= 0 and integral"):
+            RngStream(1).child(np.True_)
 
     def test_whole_number_key_draws_as_its_int(self):
         s = RngStream(np.float64(99.0), np.int64(2))

@@ -37,7 +37,7 @@ def tiny_result(points=1, strategies=("sdp", "all_ones")):
         }
         pts.append(PointResult(sweep_value=2 + k, trials=3, strategy_stats=stats,
                                lower_bound_mean=0.05 / (k + 1), eq11=0.06, eq12=0.07))
-    return SweepResult(sweep_param=SENSOR_SWEEP, points=pts, config=cfg)
+    return SweepResult(points=pts, config=cfg)
 
 
 # Flags of the sweeps that neither ``run`` nor ``oracle`` accepts.
@@ -336,6 +336,24 @@ class TestCommands:
         assert "--emit-plot-script needs --output" in captured.err
         assert captured.out == ""
         assert not plot.exists()
+
+    @pytest.mark.parametrize("subcommand", ["fig1", "fig2"])
+    @pytest.mark.parametrize("plot", ["same.csv", "./same.csv", "sub/../same.csv"])
+    def test_plot_script_naming_the_output_exits_2(self, subcommand, plot, tmp_path,
+                                                   monkeypatch, capsys):
+        # The script would overwrite the CSV that it reads.
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--output", "same.csv", "--emit-plot-script", plot])
+        assert exc.value.code == 2
+        assert "--emit-plot-script must name a file other than --output" \
+            in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
     @pytest.mark.parametrize("subcommand", [
         ["run", "--sensors", "2", "--antennas", "4"],      # matrix-inversion lemma

@@ -26,8 +26,7 @@ def scenario_of(h, sv, fc, alpha=0.0):
 
 
 def channel_of(h):
-    return ChannelRealization(matrix=np.asarray(h, dtype=complex),
-                              phases=np.zeros(h.shape))
+    return ChannelRealization(matrix=np.asarray(h, dtype=complex))
 
 
 def random_instance(gen, n, m, sv_range=(0.001, 0.01), fc=0.1):

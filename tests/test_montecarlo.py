@@ -175,6 +175,13 @@ class TestConfigValidation:
             make(**{field: 2.5})
 
     @pytest.mark.parametrize("make,field", COUNT_FIELDS)
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy_bool"])
+    def test_boolean_count_rejected(self, make, field, flag):
+        # True == 1, but a flag is not a count.
+        with pytest.raises(ConfigurationError, match=r"must be >= [01] and integral, got "):
+            make(**{field: flag})
+
+    @pytest.mark.parametrize("make,field", COUNT_FIELDS)
     def test_integral_counts_become_ints(self, make, field):
         value = getattr(make(**{field: np.float64(3.0)}), field)
         assert value == 3 and type(value) is int
@@ -521,7 +528,8 @@ class TestVerifyUnbiasedness:
         with pytest.raises(DegenerateInstanceError, match="overflows"):
             verify_unbiasedness(scn, ch, np.ones(2), 10, RngStream(8, 0))
 
-    @pytest.mark.parametrize("trials", [0, -3])
+    # True == 1, but a flag is not a count.
+    @pytest.mark.parametrize("trials", [0, -3, True, np.True_])
     def test_trials_below_one_rejected(self, trials):
         scn, ch = self._instance()
         with pytest.raises(ConfigurationError, match="trials must be >= 1"):

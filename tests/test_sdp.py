@@ -56,7 +56,7 @@ def assert_certified(sol, problem):
     """``sol`` is the certified rank-one optimum, reached in power steps."""
     cert = certificate(problem)
     assert cert is not None
-    np.testing.assert_array_equal(sol.gram, cert.gram)
+    np.testing.assert_array_equal(sol.factor, cert.factor)
     assert 1 <= sol.iterations == cert.iterations <= sdp.POWER_MAX_STEPS
 
 
@@ -65,7 +65,7 @@ def assert_interior_point(sol, problem):
     thread, as ``solve`` runs it."""
     with single_threaded():
         ipm = sdp._interior_point(problem.objective)
-    np.testing.assert_array_equal(sol.gram, ipm.gram)
+    np.testing.assert_array_equal(sol.factor, ipm.factor)
     assert sol.iterations == ipm.iterations > 0
 
 
@@ -97,7 +97,7 @@ class TestSolve:
         fresh = solve(SdpProblem(b30))
         solve(SdpProblem(b2))
         again = solve(SdpProblem(b30))
-        assert again.gram.tobytes() == fresh.gram.tobytes()
+        assert again.factor.tobytes() == fresh.factor.tobytes()
         assert (again.objective_value, again.duality_gap, again.iterations) \
             == (fresh.objective_value, fresh.duality_gap, fresh.iterations)
 
@@ -299,11 +299,11 @@ class TestRankOneCertificate:
 
     def test_declined_with_factor_leaves_the_interior_point_bits(self):
         # The factor feeds only the certificate: the IPM starts from its own
-        # eigvalsh(B) and returns the same gram, byte for byte.
+        # eigvalsh(B) and returns the same factor, byte for byte.
         b, channel, scenario = fisher_instance(30, 4, 0)
         factored = SdpProblem(b, fisher_factor(channel, scenario))
         assert certificate_declines(factored)
-        assert solve(factored).gram.tobytes() == solve(SdpProblem(b)).gram.tobytes()
+        assert solve(factored).factor.tobytes() == solve(SdpProblem(b)).factor.tobytes()
 
     @pytest.mark.parametrize("factor,match", [
         (np.ones((1, 3)), r"^factor has shape \(1, 3\), expected \(M, 2\)"),
@@ -468,13 +468,13 @@ def write_solve_reference():
     SOLVE_REFERENCE.write_text(json.dumps(table, indent=1) + "\n")
 
 
-def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
+def reference_extract_rank_one(gram, problem, rng, num_candidates=100):
     """The rounding before ``SdpSolution`` carried a factor: it
     eigendecomposes the gram itself and scores each candidate with a
     three-operand einsum."""
     b = problem.objective
     n = problem.dimension
-    w, u = lapack.eigh(solution.gram)
+    w, u = lapack.eigh(gram)
     w = np.where(w < sdp.EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w)
     gen = rng.generator()
     candidates = [phase_normalize(u[:, -1]), np.ones(n, dtype=complex)]
@@ -488,7 +488,8 @@ def reference_extract_rank_one(solution, problem, rng, num_candidates=100):
 
 def reference_interior_point(b):
     """The interior-point method before it reused its N x N buffers: every
-    product and sum is a fresh array, and Q^H is formed per use."""
+    product and sum is a fresh array, and Q^H is formed per use. Returns
+    the solution and the final iterate X, which the solution does not keep."""
     def herm(x):
         return 0.5 * (x + x.conj().T)
 
@@ -546,8 +547,8 @@ def reference_interior_point(b):
 
     w, u = lapack.eigh(x)
     factor = u * np.sqrt(np.where(w < sdp.EIG_CLIP_REL * max(w[-1], 0.0), 0.0, w))
-    return sdp._solution(x, factor, float(w[0]), float(np.real(np.trace(b @ x))), gap,
-                         iterations)
+    return sdp._solution(np.diag(x), factor, float(w[0]), float(np.real(np.trace(b @ x))), gap,
+                         iterations), x
 
 
 class TestInteriorPointBuffers:
@@ -561,12 +562,13 @@ class TestInteriorPointBuffers:
         b, channel, scenario = fisher_instance(n, m, seed)
         assert certificate_declines(SdpProblem(b, fisher_factor(channel, scenario)))
         with single_threaded():
-            got, ref = sdp._interior_point(b), reference_interior_point(b)
-        for name in ("gram", "factor", "objective_value", "duality_gap", "iterations"):
+            got, (ref, _) = sdp._interior_point(b), reference_interior_point(b)
+        for name in ("factor", "objective_value", "duality_gap", "diag_residual",
+                     "min_eigenvalue", "iterations"):
             assert np.asarray(getattr(got, name)).tobytes() \
                 == np.asarray(getattr(ref, name)).tobytes(), name
-        # The same memory layout too: a caller's products with them keep their bits.
-        assert (got.gram.strides, got.factor.strides) == (ref.gram.strides, ref.factor.strides)
+        # The same memory layout too: a caller's products with it keep their bits.
+        assert got.factor.strides == ref.factor.strides
 
     def test_peak_memory(self):
         # One declined solve at N = 60 peaked at 10.2 N x N complex arrays
@@ -593,6 +595,13 @@ class TestFactor:
     """``SdpSolution.factor`` V carries gram = V V^H, and the rounding draws
     its candidates from it without an eigendecomposition of its own."""
 
+    @staticmethod
+    def final_iterate(b):
+        """The IPM's final X, which its solution does not keep, as ``solve``
+        makes it on one BLAS thread."""
+        with single_threaded():
+            return reference_interior_point(b)[1]
+
     @pytest.mark.parametrize("n,m,seed", [(2, 4, 0), (10, 4, 1), (30, 1, 3), (100, 1, 3)])
     def test_certified_factor_is_a(self, n, m, seed):
         problem = SdpProblem(fisher_instance(n, m, seed)[0])
@@ -601,10 +610,11 @@ class TestFactor:
         assert sol.factor.shape == (n, 1)
         assert sol.min_eigenvalue == 0.0
         a = sol.factor[:, 0]
-        np.testing.assert_array_equal(sol.gram, np.outer(a, a.conj()))
+        outer = np.outer(a, a.conj())
+        # The diagonal residual of a a^H, read from the products np.outer forms.
+        assert sol.diag_residual == float(np.max(np.abs(np.real(np.diag(outer)) - 1.0)))
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(sol.factor @ sol.factor.conj().T, sol.gram,
-                                   rtol=0.0, atol=4 * eps)
+        np.testing.assert_allclose(sol.gram, outer, rtol=0.0, atol=4 * eps)
 
     @pytest.mark.parametrize("n,seed", IPM_INSTANCES)
     def test_interior_point_factor_up_to_clipped_part(self, n, seed):
@@ -612,12 +622,14 @@ class TestFactor:
         assert certificate_declines(problem)
         sol = solve(problem)
         assert sol.factor.shape == (n, n)
-        w = lapack.eigh(sol.gram)[0]
+        x = self.final_iterate(problem.objective)
+        w = lapack.eigh(x)[0]
         assert sol.min_eigenvalue == w[0]
+        assert sol.diag_residual == float(np.max(np.abs(np.real(np.diag(x)) - 1.0)))
         # V V^H drops the eigenvalues below EIG_CLIP_REL * lambda_max.
         clipped = w[w < sdp.EIG_CLIP_REL * w[-1]]
         bound = np.max(np.abs(clipped), initial=0.0) + 16 * n * np.finfo(float).eps * w[-1]
-        assert np.abs(sol.factor @ sol.factor.conj().T - sol.gram).max() <= bound
+        assert np.abs(sol.gram - x).max() <= bound
 
     def test_rounding_makes_no_eigensolve(self, monkeypatch):
         calls = []
@@ -642,9 +654,10 @@ class TestFactor:
         problem = SdpProblem(b)
         assert certificate_declines(problem)
         sol = solve(problem)
+        x = self.final_iterate(b)
         for k in range(4):
             value = quad(extract_rank_one(sol, problem, RngStream(seed, k)), b)
-            expected = quad(reference_extract_rank_one(sol, problem, RngStream(seed, k)), b)
+            expected = quad(reference_extract_rank_one(x, problem, RngStream(seed, k)), b)
             assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
@@ -673,11 +686,10 @@ class TestExtractRankOne:
         gen = np.random.default_rng(3)
         n = 5
         a_true = np.exp(1j * gen.uniform(0, 2 * np.pi, n))
-        gram = np.outer(a_true, a_true.conj())
         b = random_psd(gen, n)
         problem = SdpProblem(objective=b)
         from phasefuse.sdp import SdpSolution
-        sol = SdpSolution(gram=gram, factor=a_true[:, None], objective_value=quad(a_true, b),
+        sol = SdpSolution(factor=a_true[:, None], objective_value=quad(a_true, b),
                           duality_gap=0.0, diag_residual=0.0,
                           min_eigenvalue=0.0, iterations=0)
         a = extract_rank_one(sol, problem, RngStream(0, 0))
