@@ -123,6 +123,8 @@ class ScenarioParams:
                 raise ConfigurationError(
                     f"{name} must be a positive interval with low <= high, got ({lo}, {hi})"
                 )
+            # A tuple of floats, so that configs compare and hash as values.
+            object.__setattr__(self, name, (float(lo), float(hi)))
 
     def params(self) -> dict:
         """This config's scenario parameters, by field name."""

@@ -319,6 +319,8 @@ def _sample_instance(args, k: int) -> tuple[np.ndarray, np.ndarray | None, RngSt
 
 def _cmd_run(args) -> int:
     kinds = [s.kind for s in args.strategies]
+    if len(set(kinds)) != len(kinds):  # as a sweep rejects them; each would print one line
+        raise ConfigurationError(f"strategies must not repeat, got {kinds}")
     if CLOSED_FORM_N2 not in kinds and args.sensors == 2:
         kinds.append(CLOSED_FORM_N2)
     for kind in kinds:

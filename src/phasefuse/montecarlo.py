@@ -12,10 +12,11 @@ point. So results are a pure function of the config.
 A sweep splits each point's trials into contiguous shares, one per usable
 CPU (``os.sched_getaffinity``, which ``taskset`` narrows). The calling
 process runs the first share. Each worker process forked from it receives
-(config, point, share) over a pipe and sends back that share's outcomes;
-concurrent sweeps take turns on the workers. The outcomes are put back in
-trial order before they are aggregated, so the results, and the CSV and
-JSON bytes, do not depend on the CPU count; ``taskset -c 0`` runs every
+(config, point, share) over a pipe and sends back that share's rows, one
+row of floats per trial (``_run_trial``); concurrent sweeps take turns on
+the workers. The rows are put back in trial order, and each point's
+statistics are reductions over their columns, so the results, and the CSV
+and JSON bytes, do not depend on the CPU count; ``taskset -c 0`` runs every
 trial in the calling process. The workers are forked at the first sweep that
 has two trials and two CPUs, and serve every later sweep until the process
 exits. They are forked again whenever an attribute of a phasefuse module or
@@ -133,6 +134,7 @@ class ExperimentConfig(ScenarioParams):
         if not (sequence and all(isinstance(s, PhaseStrategy) for s in self.strategies)):
             raise ConfigurationError("strategies must be PhaseStrategy entries in a tuple "
                                      f"or list, got {self.strategies!r}")
+        object.__setattr__(self, "strategies", tuple(self.strategies))
         # Results are keyed by label, so a repeat would overwrite its twin.
         labels = [s.kind for s in self.strategies]
         if len(set(labels)) != len(labels):
@@ -172,17 +174,6 @@ class SweepResult:
     config: ExperimentConfig
 
 
-@dataclass
-class _TrialOutcome:
-    lower_bound: float
-    variances: dict[str, float]
-    relaxation_bounds: dict[str, float | None]
-    failed: dict[str, bool]
-    eq11: float
-    eq12: float
-    eq17: float
-
-
 def _draw(scn_config: ScenarioConfig, scenario_stream: RngStream,
           stream: RngStream) -> tuple[Scenario, ChannelRealization]:
     """The scenario drawn from ``scenario_stream.child(0)`` and its channel
@@ -193,9 +184,13 @@ def _draw(scn_config: ScenarioConfig, scenario_stream: RngStream,
 
 def _run_trial(
     config: ExperimentConfig, scn_config: ScenarioConfig, point: int, t: int
-) -> _TrialOutcome:
+) -> tuple[float, ...]:
     """Trial ``t`` of sweep point ``point``, whose scenario config is
-    ``scn_config`` (module docstring)."""
+    ``scn_config`` (module docstring), as one row of floats: the variance
+    lower bound, eq. 11, eq. 12 and eq. 17, then per strategy, in
+    ``config.strategies`` order, the achieved variance, 1/relaxation value
+    (NaN without one) and 1.0 if the trial took the eigenvector fallback,
+    else 0.0."""
     first = point * config.trials
     stream = RngStream(config.master_seed, first + t)
     scenario, channel = _draw(
@@ -207,36 +202,27 @@ def _run_trial(
     factor = fisher_factor(channel, scenario)
     lb = variance_lower_bound(b, factor)
 
-    variances: dict[str, float] = {}
-    relaxation_bounds: dict[str, float | None] = {}
-    failed: dict[str, bool] = {}
+    per_strategy: list[float] = []
     for k, strategy in enumerate(config.strategies):
         try:
             report = optimize_phases(b, strategy, stream.child(2 + k), factor)
-            variances[strategy.kind] = report.achieved_variance
             relax = report.relaxation_value
-            relaxation_bounds[strategy.kind] = None if relax is None else 1.0 / relax
-            failed[strategy.kind] = False
+            per_strategy += [report.achieved_variance,
+                             np.nan if relax is None else 1.0 / relax, 0.0]
         except (ConvergenceError, DegenerateInstanceError):
             # Never drop a trial: fall back to leading-eigenvector rounding.
             # A degenerate B as a whole already raised at variance_lower_bound.
-            variances[strategy.kind] = estimator_variance(eigenvector_rounding(b), b)
-            relaxation_bounds[strategy.kind] = None
-            failed[strategy.kind] = True
+            per_strategy += [estimator_variance(eigenvector_rounding(b), b), np.nan, 1.0]
 
-    return _TrialOutcome(
-        lower_bound=lb,
-        variances=variances,
-        relaxation_bounds=relaxation_bounds,
-        failed=failed,
-        eq11=asymptotics.large_n_lower_bound(scenario),
-        eq12=asymptotics.single_antenna_upper_bound(scenario),
-        eq17=asymptotics.large_m_variance(scenario),
-    )
+    return (lb,
+            asymptotics.large_n_lower_bound(scenario),
+            asymptotics.single_antenna_upper_bound(scenario),
+            asymptotics.large_m_variance(scenario),
+            *per_strategy)
 
 
-def _run_trials(config: ExperimentConfig, point: int, trials: range) -> list[_TrialOutcome]:
-    """The outcomes of trials ``trials`` of sweep point ``point``, in order."""
+def _run_trials(config: ExperimentConfig, point: int, trials: range) -> list[tuple[float, ...]]:
+    """The rows of trials ``trials`` of sweep point ``point``, in order."""
     scn_config = _scenario_config(config, config.sweep, config.sweep_values[point])
     return [_run_trial(config, scn_config, point, t) for t in trials]
 
@@ -274,7 +260,7 @@ def _bindings() -> list[tuple[str, object]]:
 
 
 def _serve(conn, inherited: list) -> None:
-    """A worker's loop: run each share it receives and send back its outcomes,
+    """A worker's loop: run each share it receives and send back its rows,
     or the exception of its first failing trial. Returns when the caller
     closes the pipe or is gone."""
     for other in inherited:  # the caller's ends, so that only it holds them
@@ -358,8 +344,8 @@ _WORKERS = _Workers()
 _WORKERS_LOCK = threading.Lock()  # held by the caller that talks to _WORKERS
 
 
-def _run_point(config: ExperimentConfig, point: int) -> list[_TrialOutcome]:
-    """Every trial outcome of sweep point ``point``, in trial order: the first
+def _run_point(config: ExperimentConfig, point: int) -> list[tuple[float, ...]]:
+    """Every trial row of sweep point ``point``, in trial order: the first
     share in this process and one share per other usable CPU in a worker.
     Concurrent callers take turns on the workers."""
     shares = _shares(config.trials, _usable_cpus())
@@ -381,12 +367,12 @@ def _run_point(config: ExperimentConfig, point: int) -> list[_TrialOutcome]:
         except BaseException:  # an interrupt: leave no reply to be read later
             _WORKERS.stop(terminate=True)
             raise
-    outcomes: list[_TrialOutcome] = []
+    rows: list[tuple[float, ...]] = []
     for ok, value in replies:  # the earliest share's error is the serial one
         if not ok:
             raise value
-        outcomes += value
-    return outcomes
+        rows += value
+    return rows
 
 
 @single_threaded()
@@ -395,38 +381,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     points: list[PointResult] = []
 
     for p, value in enumerate(config.sweep_values):
-        outcomes = _run_point(config, p)
-
+        # Each column as one contiguous array, which np.mean and np.std sum in
+        # trial order.
+        lower_bounds, eq11, eq12, eq17, *columns = (
+            np.array(column) for column in zip(*_run_point(config, p)))
         stats: dict[str, StrategyStats] = {}
-        degraded = False
-        for strategy in config.strategies:
-            label = strategy.kind
-            vals = np.array([o.variances[label] for o in outcomes])
-            fails = sum(o.failed[label] for o in outcomes)
-            se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            relax = [o.relaxation_bounds[label] for o in outcomes]
-            stats[label] = StrategyStats(
-                mean_variance=float(np.mean(vals)), std_err=se, failures=fails,
-                relaxation_bound_mean=(
-                    None if None in relax else float(np.mean(relax))
-                ),
+        for strategy, variances, relaxation_bounds, fallbacks in zip(
+                config.strategies, columns[0::3], columns[1::3], columns[2::3]):
+            stats[strategy.kind] = StrategyStats(
+                mean_variance=float(np.mean(variances)),
+                std_err=float(np.std(variances, ddof=1) / np.sqrt(config.trials))
+                if config.trials > 1 else 0.0,
+                failures=int(np.sum(fallbacks)),
+                relaxation_bound_mean=None if np.isnan(relaxation_bounds).any()
+                else float(np.mean(relaxation_bounds)),
             )
-            if fails > 0.01 * config.trials:
-                degraded = True
-
-        point = PointResult(
+        sensors = config.sweep == SENSOR_SWEEP
+        points.append(PointResult(
             sweep_value=value,
             trials=config.trials,
             strategy_stats=stats,
-            lower_bound_mean=float(np.mean([o.lower_bound for o in outcomes])),
-            degraded=degraded,
-        )
-        if config.sweep == SENSOR_SWEEP:
-            point.eq11 = float(np.mean([o.eq11 for o in outcomes]))
-            point.eq12 = float(np.mean([o.eq12 for o in outcomes]))
-        else:
-            point.eq17 = float(np.mean([o.eq17 for o in outcomes]))
-        points.append(point)
+            lower_bound_mean=float(np.mean(lower_bounds)),
+            eq11=float(np.mean(eq11)) if sensors else None,
+            eq12=float(np.mean(eq12)) if sensors else None,
+            eq17=None if sensors else float(np.mean(eq17)),
+            degraded=any(st.failures > 0.01 * config.trials for st in stats.values()),
+        ))
 
     return SweepResult(points=points, config=config)
 

@@ -65,6 +65,20 @@ class TestSampleScenario:
         assert np.array_equal(a.distances, b.distances)
         assert np.array_equal(a.sensor_noise_powers, b.sensor_noise_powers)
 
+    @pytest.mark.parametrize("low,high", [
+        ([2, 7], [0.001, 0.01]),
+        (np.array([2.0, 7.0]), np.array([0.001, 0.01])),
+        ((np.float64(2.0), 7), (0.001, np.float64(0.01))),
+    ], ids=["list", "ndarray", "numpy_scalars"])
+    def test_ranges_are_stored_as_tuples_of_floats(self, low, high):
+        # Configs are values: equal parameters compare equal and hash alike.
+        cfg = ScenarioConfig(n_sensors=2, n_antennas=2, distance_range=low,
+                             sensor_noise_range=high)
+        default = ScenarioConfig(n_sensors=2, n_antennas=2)
+        assert cfg.distance_range == (2.0, 7.0)
+        assert all(type(x) is float for x in cfg.distance_range + cfg.sensor_noise_range)
+        assert cfg == default and hash(cfg) == hash(default)
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(n_sensors=2, n_antennas=2, distance_range=(7.0, 2.0))

@@ -278,6 +278,12 @@ class TestCommands:
         assert main(argv) == 1
         assert "error: strategies must not repeat" in capsys.readouterr().err
 
+    def test_repeated_strategy_in_run_exits_1_before_any_output(self, capsys):
+        argv = ["run", "--sensors", "4", "--antennas", "2", "--strategies", "sdp,sdp"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: strategies must not repeat, got ['sdp', 'sdp']\n")
+
     @pytest.mark.parametrize("argv", [
         ["fig1", "--trials", "0"],
         ["fig1", "--sensors", "2", "0"],

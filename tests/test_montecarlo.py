@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,11 @@ import numpy as np
 import pytest
 
 from phasefuse import lapack, montecarlo
-from phasefuse.asymptotics import large_n_lower_bound, single_antenna_upper_bound
+from phasefuse.asymptotics import (
+    large_m_variance,
+    large_n_lower_bound,
+    single_antenna_upper_bound,
+)
 from phasefuse.channel import (
     NOISE_BLOCK_ROWS,
     Scenario,
@@ -21,7 +26,14 @@ from phasefuse.channel import (
 )
 from phasefuse import sdp as sdp_module
 from phasefuse.errors import ConfigurationError, ConvergenceError, DegenerateInstanceError
-from phasefuse.estimator import ml_estimate, noise_covariance
+from phasefuse.estimator import (
+    estimator_variance,
+    fisher_factor,
+    fisher_matrix,
+    ml_estimate,
+    noise_covariance,
+    variance_lower_bound,
+)
 from phasefuse.montecarlo import (
     ANTENNA_SWEEP,
     SENSOR_SWEEP,
@@ -32,7 +44,7 @@ from phasefuse.montecarlo import (
     verify_diagonal_concentration,
     verify_unbiasedness,
 )
-from phasefuse.phase_opt import ALL_ONES, PhaseStrategy
+from phasefuse.phase_opt import ALL_ONES, PhaseStrategy, eigenvector_rounding, optimize_phases
 from phasefuse.rng import RngStream
 
 
@@ -101,6 +113,21 @@ class TestConfigValidation:
     def test_repeated_strategy_rejected(self):
         with pytest.raises(ConfigurationError, match="must not repeat"):
             small_config(strategies=(PhaseStrategy("sdp"), PhaseStrategy("sdp")))
+
+    def test_strategies_are_stored_as_a_tuple(self):
+        # A list would make the config unhashable, and an entry appended
+        # later would skip the sensor-count check.
+        cfg = small_config(strategies=[PhaseStrategy("sdp")])
+        assert cfg.strategies == (PhaseStrategy("sdp"),)
+        assert cfg == small_config(strategies=(PhaseStrategy("sdp"),))
+        assert hash(cfg) == hash(small_config(strategies=(PhaseStrategy("sdp"),)))
+        with pytest.raises(AttributeError):
+            cfg.strategies.append(PhaseStrategy("grid"))
+
+    def test_list_ranges_give_the_same_sweep(self):
+        cfg = small_config(sweep_values=(3,), trials=2, distance_range=[2, 7])
+        assert repr(run_sweep(cfg).points) == repr(run_sweep(small_config(
+            sweep_values=(3,), trials=2)).points)
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(sweep_values=(2, 4, 6), strategies=(PhaseStrategy("grid"),)),
@@ -459,6 +486,119 @@ class TestWorkers:
         proc.stderr.close()
         assert len(seen) >= 2  # the CLI and at least one worker
         assert processes_with(out) == []
+
+
+def recomputed_trials(cfg, point, forced=frozenset()):
+    """Every trial of sweep point ``point``, recomputed from the public
+    functions by the module's stream rule: (lower bound, eq11, eq12, eq17,
+    {label: (variance, relaxation bound or None, fell back)}). Every strategy
+    of the trials in ``forced`` takes the eigenvector fallback."""
+    value = cfg.sweep_values[point]
+    n, m = (value, cfg.fixed_count) if cfg.sweep == SENSOR_SWEEP else (cfg.fixed_count, value)
+    scn_config = ScenarioConfig(n_sensors=n, n_antennas=m, **cfg.params())
+    trials = []
+    for t in range(cfg.trials):
+        stream = RngStream(cfg.master_seed, point * cfg.trials + t)
+        held = stream if cfg.resample_scenario_per_trial \
+            else RngStream(cfg.master_seed, point * cfg.trials)
+        scn = sample_scenario(scn_config, held.child(0))
+        ch = generate_channel(scn, stream.child(1))
+        b, f = fisher_matrix(ch, scn), fisher_factor(ch, scn)
+        per_strategy = {}
+        for k, strategy in enumerate(cfg.strategies):
+            if t in forced:
+                per_strategy[strategy.kind] = (
+                    estimator_variance(eigenvector_rounding(b), b), None, True)
+            else:
+                report = optimize_phases(b, strategy, stream.child(2 + k), f)
+                relax = report.relaxation_value
+                per_strategy[strategy.kind] = (
+                    report.achieved_variance, None if relax is None else 1.0 / relax, False)
+        trials.append((variance_lower_bound(b, f), large_n_lower_bound(scn),
+                       single_antenna_upper_bound(scn), large_m_variance(scn), per_strategy))
+    return trials
+
+
+def force_fallback(monkeypatch, trials):
+    """Make every strategy of the sweep trials with these stream indices
+    raise ConvergenceError, so that they take the eigenvector fallback."""
+    optimize = montecarlo.optimize_phases
+
+    def failing(b, strategy, rng, factor=None):
+        if rng.stream_index in trials:
+            raise ConvergenceError("forced")
+        return optimize(b, strategy, rng, factor)
+
+    monkeypatch.setattr(montecarlo, "optimize_phases", failing)
+
+
+def mean(values):
+    return math.fsum(values) / len(values)
+
+
+class TestPointStatistics:
+    """Each point's statistics against the same statistics of the
+    recomputed trials, on one CPU and with a worker's share on a second."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("overrides", [
+        dict(sweep_values=(2, 5), fixed_count=3),
+        dict(sweep=ANTENNA_SWEEP, sweep_values=(1, 3), fixed_count=4),
+    ], ids=["sensors", "antennas"])
+    def test_statistics_of_the_trials(self, monkeypatch, cpus, overrides):
+        cfg = small_config(trials=5, **overrides)
+        use_cpus(monkeypatch, cpus)
+        for p, point in enumerate(run_sweep(cfg).points):
+            trials = recomputed_trials(cfg, p)
+            assert point.trials == 5 and not point.degraded
+            assert point.lower_bound_mean == pytest.approx(
+                mean([tr[0] for tr in trials]), rel=1e-12)
+            if cfg.sweep == SENSOR_SWEEP:
+                assert point.eq11 == pytest.approx(mean([tr[1] for tr in trials]), rel=1e-12)
+                assert point.eq12 == pytest.approx(mean([tr[2] for tr in trials]), rel=1e-12)
+                assert point.eq17 is None
+            else:
+                assert point.eq11 is None and point.eq12 is None
+                assert point.eq17 == pytest.approx(mean([tr[3] for tr in trials]), rel=1e-12)
+            for label, stats in point.strategy_stats.items():
+                variances = [tr[4][label][0] for tr in trials]
+                m = mean(variances)
+                # The ddof-1 sample standard deviation over sqrt(trials).
+                std_err = math.sqrt(math.fsum((v - m) ** 2 for v in variances) / 4 / 5)
+                assert stats.mean_variance == pytest.approx(m, rel=1e-12)
+                assert stats.std_err == pytest.approx(std_err, rel=1e-9)
+                assert stats.failures == 0 and type(stats.failures) is int
+                bounds = [tr[4][label][1] for tr in trials]
+                if label == ALL_ONES:
+                    assert stats.relaxation_bound_mean is None
+                else:
+                    assert stats.relaxation_bound_mean == pytest.approx(mean(bounds), rel=1e-12)
+
+    def test_one_trial_has_no_std_err(self):
+        for point in run_sweep(small_config(trials=1)).points:
+            assert all(stats.std_err == 0.0 for stats in point.strategy_stats.values())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("forced", [(), (83,), (17, 83)], ids=["none", "one", "two"])
+    def test_fallbacks_at_the_one_percent_threshold(self, monkeypatch, cpus, forced):
+        # 100 trials: one fallback is 1% and leaves the point whole, two are
+        # more and degrade it. On 2 CPUs trial 17 runs here and 83 in the worker.
+        cfg = small_config(sweep_values=(3,), fixed_count=1, trials=100)
+        use_cpus(monkeypatch, cpus)
+        force_fallback(monkeypatch, set(forced))
+        point = run_sweep(cfg).points[0]
+        trials = recomputed_trials(cfg, 0, set(forced))
+        assert point.degraded == (len(forced) > 1)
+        for label, stats in point.strategy_stats.items():
+            assert stats.failures == len(forced) and type(stats.failures) is int
+            assert stats.mean_variance == pytest.approx(
+                mean([tr[4][label][0] for tr in trials]), rel=1e-12)
+            # No bound for all-ones, and none for the sdp once a trial fell back.
+            if label == ALL_ONES or forced:
+                assert stats.relaxation_bound_mean is None
+            else:
+                assert stats.relaxation_bound_mean == pytest.approx(
+                    mean([tr[4][label][1] for tr in trials]), rel=1e-12)
 
 
 def reference_verify_unbiasedness(scenario, channel, a, trials, rng):
